@@ -6,19 +6,12 @@ desk-scale simulation and self-check machinery around them.
 """
 
 from .measures import (
-    Alphabet,
     Channel,
-    ConditionalDistribution,
     Distribution,
     DistributionError,
     JointDistribution,
     compositions,
-    conditional_divergence,
-    conditional_mutual_information,
-    conditional_type_count,
-    empirical_joint,
     entropy,
-    enumerate_types,
     mutual_information,
 )
 from .metrics import (
@@ -33,14 +26,9 @@ from .metrics import (
     mismatched_metric,
 )
 from .optimizer import (
-    FeasibleSet,
-    GridSearchResult,
     GridSpec,
     InfeasibleGridError,
     golden_section_minimize,
-    grid_maximize,
-    grid_minimize,
-    refine_joint,
 )
 from .exponents import (
     CompetitorScoreEvaluator,
@@ -74,19 +62,12 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "Channel",
-    "ConditionalDistribution",
     "Distribution",
     "DistributionError",
     "JointDistribution",
     "compositions",
-    "conditional_divergence",
-    "conditional_mutual_information",
-    "conditional_type_count",
-    "empirical_joint",
     "entropy",
-    "enumerate_types",
     "mutual_information",
     "AffineMetric",
     "EmpiricalMutualInformationMetric",
@@ -97,14 +78,9 @@ __all__ = [
     "matched_metric",
     "metric_from_json",
     "mismatched_metric",
-    "FeasibleSet",
-    "GridSearchResult",
     "GridSpec",
     "InfeasibleGridError",
     "golden_section_minimize",
-    "grid_maximize",
-    "grid_minimize",
-    "refine_joint",
     "CompetitorScoreEvaluator",
     "ConfusionExponentSolver",
     "ExponentQuery",

@@ -26,6 +26,7 @@ from .metrics import MetricError, metric_from_json
 from .optimizer import GridSpec, InfeasibleGridError
 from .exponents import ExponentQuery, exponent_form, rate_sweep
 from .simulator import (
+    _ENUM_BUDGET,
     Codebook,
     SimConfig,
     check_good_code,
@@ -38,7 +39,6 @@ from .simulator import (
 from . import verify as verify_mod
 
 _MARKOV_RHOS = (1.0, 2.0, 5.0)
-_ENUM_BUDGET = 1 << 24
 
 
 def _sanitize(obj):
@@ -280,13 +280,14 @@ def cmd_simulate(cfg: dict) -> int:
             exact_error_probability(code, m, channel, metric, workers=workers)
             for m in range(code.size)
         ]
+        per_message = {"mode": mode, "values": errors}
     elif mode == "mc":
-        errors = []
-        for m in range(code.size):
-            est, _ = monte_carlo_error(
-                code, m, channel, metric, config.trials, rng, workers=workers
-            )
-            errors.append(est)
+        estimates = [
+            monte_carlo_error(code, m, channel, metric, config.trials, rng, workers=workers)
+            for m in range(code.size)
+        ]
+        errors = [est for est, _ in estimates]
+        per_message = {"mode": mode, "values": errors, "std_errors": [se for _, se in estimates]}
     else:
         raise ConfigError(f"unknown simulation mode {mode!r}")
 
@@ -317,7 +318,7 @@ def cmd_simulate(cfg: dict) -> int:
             "metric": cfg.get("metric"),
             "channel": channel.matrix.tolist(),
         },
-        "per_message_error": {"mode": mode, "values": errors},
+        "per_message_error": per_message,
         "good_code_report": report_gc.to_json(),
         "expurgated_indices": [int(i) for i in kept_indices(errors)],
         "markov_checks": markov,

@@ -40,12 +40,13 @@ from .measures import (
     DistributionError,
     JointDistribution,
     compositions,
+    entropy_rows,
     mutual_information_array,
+    mutual_information_stack,
 )
 from .metrics import AffineMetric, Metric
 from .optimizer import (
     INFO_SLACK,
-    FeasibleSet,
     GridSpec,
     InfeasibleGridError,
     concave_search_rho,
@@ -57,20 +58,17 @@ from .optimizer import (
 )
 
 _ALPHA_BATCH = 64  # fixed sub-batch height so BLAS shapes never vary
-
-
-def _entropy_rows(a: np.ndarray) -> np.ndarray:
-    # Entropy along the last axis with the 0*ln(0)=0 convention.
-    safe = np.where(a > 0, a, 1.0)
-    return -np.sum(a * np.log(safe), axis=-1)
+_FLOOR_BUDGET = 300_000  # grid kernels one competitor-floor scan may enumerate
+_INNER_BUDGET = 2_000_000  # kernel stacks one inner scan may enumerate
+_CHUNK_SIZE = 1 << 18  # kernel stacks per scan chunk; fixed so workers cannot matter
+_REFINE_TOL = 1e-7  # a descent sweep gaining less than this ends the descent
+_MAX_REFINE_SWEEPS = 500
 
 
 @dataclass(frozen=True)
 class ExponentQuery:
     """One exponent computation: rate, composition, channel, metric.
 
-    ``epsilon`` is the rate back-off used by the simulator's good-code
-    check; exponent computations themselves use epsilon = 0.
     ``rho_max`` caps the search over the tilting parameter.
     """
 
@@ -78,14 +76,11 @@ class ExponentQuery:
     composition: Distribution
     channel: Channel
     metric: Metric
-    epsilon: float = 0.0
     rho_max: float = 64.0
 
     def __post_init__(self) -> None:
         if self.rate < 0:
             raise DistributionError(f"rate must be >= 0, got {self.rate}")
-        if self.epsilon < 0:
-            raise DistributionError("epsilon must be >= 0")
         if self.rho_max < 1:
             raise DistributionError(f"rho_max must be >= 1, got {self.rho_max}")
         if self.composition.size != self.channel.input_size:
@@ -148,22 +143,15 @@ class CompetitorScoreEvaluator:
     unless the score is -inf on the whole feasible set.
 
     Kernels are enumerated on the rational grid with denominator
-    ``resolution`` (capped so the enumeration stays within ``budget``
-    points).  The grid supremum never exceeds the true supremum.  Two
-    metric families short-circuit exactly: a constant metric gives
-    value + rate (the independent kernel is optimal), and the
-    empirical-mutual-information metric gives rate (score cancels the
-    information term on the feasible set).
+    ``resolution`` (capped so the enumeration stays within
+    ``_FLOOR_BUDGET`` points).  The grid supremum never exceeds the
+    true supremum.  Two metric families short-circuit exactly: a
+    constant metric gives value + rate (the independent kernel is
+    optimal), and the empirical-mutual-information metric gives rate
+    (score cancels the information term on the feasible set).
     """
 
-    def __init__(
-        self,
-        metric: Metric,
-        rate: float,
-        y_size: int,
-        resolution: int,
-        budget: int = 300_000,
-    ):
+    def __init__(self, metric: Metric, rate: float, y_size: int, resolution: int):
         if rate < 0:
             raise DistributionError(f"rate must be >= 0, got {rate}")
         if metric.y_size != y_size:
@@ -187,14 +175,14 @@ class CompetitorScoreEvaluator:
         self.mode = "scan"
         k = 1
         for cand in range(2, resolution + 1):
-            if math.comb(cand + self.kx - 1, self.kx - 1) ** y_size > budget:
+            if math.comb(cand + self.kx - 1, self.kx - 1) ** y_size > _FLOOR_BUDGET:
                 break
             k = cand
         self.effective_resolution = k
         opts_counts = compositions(k, self.kx)
         opts = opts_counts.astype(np.float64) / k
         n_opt = opts.shape[0]
-        row_h = _entropy_rows(opts)
+        row_h = entropy_rows(opts)
         # Per-option, per-output score with -inf awareness.
         neg = np.isneginf(cells)
         cfin = np.where(neg, 0.0, cells)
@@ -260,7 +248,7 @@ class CompetitorScoreEvaluator:
                 e = min(s + step, n_kern)
                 cond_h = qys @ self._row_entropy[s:e].T  # (B, C)
                 marg = np.tensordot(qys, self._kernel_rows[s:e], axes=([1], [1]))
-                info = np.maximum(_entropy_rows(marg) - cond_h, 0.0)
+                info = np.maximum(entropy_rows(marg) - cond_h, 0.0)
                 score_fin = qys @ self._score_fin[s:e].T
                 bad = qpos @ self._score_bad[s:e].T > 0
                 score = np.where(bad, -math.inf, score_fin)
@@ -375,7 +363,7 @@ class ConfusionExponentSolver:
         """Largest denominator whose full scan fits the budget."""
         k = 1
         for cand in range(2, self.grid.resolution + 1):
-            if math.comb(cand + self.l - 1, self.l - 1) ** n_cells > self.grid.inner_budget:
+            if math.comb(cand + self.l - 1, self.l - 1) ** n_cells > _INNER_BUDGET:
                 break
             k = cand
         return k
@@ -500,8 +488,8 @@ class ConfusionExponentSolver:
                 for r in range(s):
                     jxy[:, cells[r][0], :] += wopts[r][digs[r]]
                     jxpy[:, cells[r][1], :] += wopts[r][digs[r]]
-                g1 = self._mi_stack(jxy)
-                g2 = self._mi_stack(jxpy)
+                g1 = mutual_information_stack(jxy)
+                g2 = mutual_information_stack(jxpy)
             floor = self._floor_for_scan(
                 qy, qy_int if exact else None, den if exact else 0, floor_table
             )
@@ -515,7 +503,7 @@ class ConfusionExponentSolver:
             j = int(np.argmin(total))
             return float(total[j]), start + j
 
-        results = ordered_chunk_map(chunk, n_combo, self.grid.chunk_size, self.grid.workers)
+        results = ordered_chunk_map(chunk, n_combo, _CHUNK_SIZE, self.grid.workers)
         best_v, best_i = math.inf, -1
         for v, i in results:
             if v < best_v:
@@ -524,13 +512,6 @@ class ConfusionExponentSolver:
             return math.inf, np.zeros(s, dtype=np.int64)
         digits = np.array([(best_i // place[r]) % n_opt for r in range(s)], dtype=np.int64)
         return best_v, digits
-
-    @staticmethod
-    def _mi_stack(j: np.ndarray) -> np.ndarray:
-        hx = _entropy_rows(j.sum(axis=2))
-        hy = _entropy_rows(j.sum(axis=1))
-        hxy = _entropy_rows(j.reshape(j.shape[0], -1))
-        return np.maximum(hx + hy - hxy, 0.0)
 
     def _floor_table(self, den: int, n_combo: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Floor values for every output composition with denominator den.
@@ -545,8 +526,8 @@ class ConfusionExponentSolver:
             return self._floor_cache[den]
         rows = math.comb(den + self.l - 1, self.l - 1)
         n_kern = self.score_eval._row_entropy.shape[0]
-        n_chunks = -(-n_combo // self.grid.chunk_size)
-        est_scan_evals = n_chunks * min(self.grid.chunk_size, n_combo, rows)
+        n_chunks = -(-n_combo // _CHUNK_SIZE)
+        est_scan_evals = n_chunks * min(_CHUNK_SIZE, n_combo, rows)
         table = None
         if rows <= min(40000, est_scan_evals) and rows * n_kern <= 5 * 10**8:
             ints = compositions(den, self.l)
@@ -619,8 +600,8 @@ class ConfusionExponentSolver:
             for r, (x, xp, wt) in enumerate(cells):
                 jxy[x] += wt * stack[r]
                 jxpy[xp] += wt * stack[r]
-            g1 = float(self._mi_stack(jxy[None])[0])
-            g2 = float(self._mi_stack(jxpy[None])[0])
+            g1 = float(mutual_information_stack(jxy[None])[0])
+            g2 = float(mutual_information_stack(jxpy[None])[0])
         if g2 == -math.inf:
             return math.inf
         floor = self.score_eval.value(qy)
@@ -633,10 +614,9 @@ class ConfusionExponentSolver:
     ) -> tuple[float, np.ndarray]:
         cur = self.stack_value(cells, stack)
         s = len(cells)
-        tol = self.grid.refine_tolerance
         if line_tol is None:
-            line_tol = max(tol * 1e-2, 1e-15)
-        sweeps = self.grid.max_refine_iters if max_sweeps is None else max_sweeps
+            line_tol = _REFINE_TOL * 1e-2
+        sweeps = _MAX_REFINE_SWEEPS if max_sweeps is None else max_sweeps
         dirs = [
             (r, y1, y2) for r in range(s) for y1 in range(self.l) for y2 in range(y1 + 1, self.l)
         ]
@@ -660,7 +640,7 @@ class ConfusionExponentSolver:
                     stack[r, y2] = max(stack[r, y2] - t_best, 0.0)
                     gain += cur - f_best
                     cur = f_best
-            if gain < tol:
+            if gain < _REFINE_TOL:
                 break
         return cur, stack
 
@@ -747,7 +727,6 @@ def _polish_coupling(
     """
     solver = pipe.solver
     rate = query.rate
-    comp = query.composition
     p = pipe.couplings[start].copy()
     full = solver.solve(p, pipe.tables[start], refine=True)
     warm = full.kernels
@@ -761,8 +740,7 @@ def _polish_coupling(
         return conf + rho * (info - rate)
 
     cur = total(full.value, p)
-    feas = FeasibleSet((p.shape[0], p.shape[1]), row_margin=comp, col_margin=comp)
-    dirs = move_directions(feas)
+    dirs = move_directions(p.shape[0])
     radius = 1.5 / grid.resolution
     for _ in range(2):
         gain = 0.0
@@ -800,7 +778,7 @@ def _polish_coupling(
                 if new < cur:
                     gain += cur - new
                     cur = new
-        if gain < grid.refine_tolerance:
+        if gain < _REFINE_TOL:
             break
     final = solver.solve(p, None, skip_grid=True, warm=warm, max_sweeps=None)
     cur = min(cur, total(final.value, p))

@@ -2,15 +2,12 @@
 
 Every information quantity in this package is expressed in nats.  The
 usual conventions for zero mass apply throughout: 0*ln(0) = 0, and
-x*ln(x/0) = +inf for x > 0.  Divergence-style functions return
-``math.inf`` instead of raising when a support hole is hit, so callers
-can propagate infinities through optimizations without overflow tricks.
+x*ln(x/0) = +inf for x > 0.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -53,20 +50,6 @@ def _as_prob_vector(values, tol: float = SUM_TOL) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """A finite alphabet identified by its size; symbols are 0..size-1."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
-            raise DistributionError(f"alphabet size must be a positive int, got {self.size!r}")
-
-    def symbols(self) -> range:
-        return range(self.size)
-
-
-@dataclass(frozen=True)
 class Distribution:
     """A probability vector over a finite alphabet."""
 
@@ -74,10 +57,6 @@ class Distribution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _freeze(_as_prob_vector(self.p)))
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.p.size)
 
     @property
     def size(self) -> int:
@@ -129,61 +108,34 @@ class JointDistribution:
     def product(px: Distribution, py: Distribution) -> "JointDistribution":
         return JointDistribution(np.outer(px.p, py.p))
 
-    def conditional_rows(self) -> "ConditionalDistribution":
-        """Rows q(col | row); rows with zero mass become uniform."""
-        m = self.p.sum(axis=1, keepdims=True)
-        cols = self.p.shape[1]
-        safe = np.where(m > 0, m, 1.0)
-        rows = np.where(m > 0, self.p / safe, 1.0 / cols)
-        return ConditionalDistribution(rows)
-
-
-@dataclass(frozen=True)
-class ConditionalDistribution:
-    """A row-stochastic matrix: one distribution over outputs per input."""
-
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.rows, dtype=np.float64)
-        if a.ndim != 2 or a.size == 0:
-            raise DistributionError(f"expected a 2-D matrix, got shape {a.shape}")
-        out = np.vstack([_as_prob_vector(r) for r in a])
-        object.__setattr__(self, "rows", _freeze(out))
-
-    @property
-    def n_inputs(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.rows.shape[1]
-
-    def row(self, i: int) -> Distribution:
-        return Distribution(self.rows[i])
-
 
 @dataclass(frozen=True)
 class Channel:
-    """A discrete memoryless channel: a conditional law of output given input."""
+    """A discrete memoryless channel: one output distribution per input.
 
-    law: ConditionalDistribution
+    ``matrix`` is row-stochastic; each row is validated and normalized
+    like a Distribution.
+    """
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.law.rows
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        a = np.asarray(self.matrix, dtype=np.float64)
+        if a.ndim != 2 or a.size == 0:
+            raise DistributionError(f"expected a 2-D matrix, got shape {a.shape}")
+        object.__setattr__(self, "matrix", _freeze(np.vstack([_as_prob_vector(r) for r in a])))
 
     @property
     def input_size(self) -> int:
-        return self.law.n_inputs
+        return self.matrix.shape[0]
 
     @property
     def output_size(self) -> int:
-        return self.law.n_outputs
+        return self.matrix.shape[1]
 
     @staticmethod
     def from_matrix(matrix) -> "Channel":
-        return Channel(ConditionalDistribution(np.asarray(matrix, dtype=np.float64)))
+        return Channel(np.asarray(matrix, dtype=np.float64))
 
     @staticmethod
     def from_json(obj: dict) -> "Channel":
@@ -227,21 +179,28 @@ class Channel:
 # Information measures.
 
 
-def _sum_xlogx(a: np.ndarray) -> float:
-    mask = a > 0
-    if not np.any(mask):
-        return 0.0
-    v = a[mask]
-    return float(np.dot(v, np.log(v)))
+def _entropy_arr(a: np.ndarray) -> float:
+    v = a[a > 0]
+    return max(0.0, -float(np.dot(v, np.log(v))))
 
 
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in nats; lies in [0, ln(size)]."""
-    return max(0.0, -_sum_xlogx(dist.p))
+    return _entropy_arr(dist.p)
 
 
-def _entropy_arr(a: np.ndarray) -> float:
-    return max(0.0, -_sum_xlogx(a))
+def entropy_rows(a: np.ndarray) -> np.ndarray:
+    """Entropy along the last axis, one value per row; not clamped."""
+    safe = np.where(a > 0, a, 1.0)
+    return -np.sum(a * np.log(safe), axis=-1)
+
+
+def mutual_information_stack(j: np.ndarray) -> np.ndarray:
+    """I(row; col) of each joint in a (B, rows, cols) stack; clamped at zero."""
+    hx = entropy_rows(j.sum(axis=2))
+    hy = entropy_rows(j.sum(axis=1))
+    hxy = entropy_rows(j.reshape(j.shape[0], -1))
+    return np.maximum(hx + hy - hxy, 0.0)
 
 
 def mutual_information(joint: JointDistribution) -> float:
@@ -263,83 +222,6 @@ def mutual_information_array(p: np.ndarray) -> float:
     h_col = _entropy_arr(p.sum(axis=0))
     h_joint = _entropy_arr(p.reshape(-1))
     return max(0.0, h_row + h_col - h_joint)
-
-
-def conditional_divergence(
-    kernel: ConditionalDistribution, channel: Channel, weights: Distribution
-) -> float:
-    """D(kernel || channel | weights) in nats; +inf on a support hole.
-
-    A support hole means some conditioning symbol with positive weight puts
-    kernel mass where the channel row is zero.
-    """
-    q = kernel.rows
-    w = channel.matrix
-    if q.shape != w.shape or weights.size != q.shape[0]:
-        raise DistributionError("alphabet mismatch in conditional_divergence")
-    total = 0.0
-    for x in range(q.shape[0]):
-        px = weights.p[x]
-        if px <= 0:
-            continue
-        for y in range(q.shape[1]):
-            v = q[x, y]
-            if v <= 0:
-                continue
-            if w[x, y] <= 0:
-                return math.inf
-            total += px * v * math.log(v / w[x, y])
-    return max(0.0, total)
-
-
-def conditional_mutual_information(joint_xxy: JointDistribution, x_size: int) -> float:
-    """I(X'; Y | X) of a triple joint stored over the product alphabet.
-
-    The row index of ``joint_xxy`` encodes the pair (x, x') as
-    ``x * (rows // x_size) + x'`` and the column index is y.  Computed by
-    direct summation of q(x,x',y) * ln[ q(y|x,x') / q(y|x) ].
-    """
-    p = joint_xxy.p
-    rows, l = p.shape
-    if rows % x_size != 0:
-        raise DistributionError(f"row count {rows} is not divisible by x_size {x_size}")
-    xp_size = rows // x_size
-    t = p.reshape(x_size, xp_size, l)
-    # q(y|x,x') and q(y|x) with zero-mass rows contributing nothing.
-    pxx = t.sum(axis=2)
-    pxy = t.sum(axis=1)
-    px = pxx.sum(axis=1)
-    total = 0.0
-    for x in range(x_size):
-        for xp in range(xp_size):
-            w = pxx[x, xp]
-            if w <= 0:
-                continue
-            for y in range(l):
-                v = t[x, xp, y]
-                if v <= 0:
-                    continue
-                cond_pair = v / w
-                cond_x = pxy[x, y] / px[x]
-                total += v * math.log(cond_pair / cond_x)
-    return max(0.0, total)
-
-
-def empirical_joint(
-    x_seq, y_seq, x_size: int | None = None, y_size: int | None = None
-) -> JointDistribution:
-    """Empirical joint type of two equal-length symbol sequences."""
-    x = np.asarray(x_seq, dtype=np.int64)
-    y = np.asarray(y_seq, dtype=np.int64)
-    if x.ndim != 1 or y.ndim != 1 or x.size != y.size or x.size == 0:
-        raise DistributionError("sequences must be nonempty, 1-D, and of equal length")
-    kx = int(x.max()) + 1 if x_size is None else x_size
-    ky = int(y.max()) + 1 if y_size is None else y_size
-    if x.min() < 0 or y.min() < 0 or x.max() >= kx or y.max() >= ky:
-        raise DistributionError("symbol out of range for the stated alphabet")
-    counts = np.zeros((kx, ky), dtype=np.float64)
-    np.add.at(counts, (x, y), 1.0)
-    return JointDistribution(counts / x.size)
 
 
 @lru_cache(maxsize=None)
@@ -368,49 +250,3 @@ def compositions(total: int, parts: int) -> np.ndarray:
         raise DistributionError("compositions: need total >= 0 and parts >= 1")
     return _compositions_cached(total, parts)
 
-
-def enumerate_types(alphabet: Alphabet, n: int) -> list[Distribution]:
-    """All type classes of denominator ``n`` over the alphabet, lex order."""
-    if n < 1:
-        raise DistributionError("blocklength must be >= 1")
-    counts = compositions(n, alphabet.size)
-    return [Distribution(row / n) for row in counts]
-
-
-def conditional_type_count(codebook, m: int, kernel: ConditionalDistribution) -> int:
-    """Number of other codewords whose conditional type given word ``m`` is ``kernel``.
-
-    The conditional type of x' given x is N(a, b) / N(a) where N(a, b)
-    counts positions t with (x_t, x'_t) = (a, b).  Conditioning symbols
-    absent from word ``m`` carry no constraint.  If the kernel is not
-    realizable at this blocklength given word ``m``'s composition the
-    count is zero.
-    """
-    words = np.asarray(codebook.words, dtype=np.int64)
-    n_words, n = words.shape
-    if not (0 <= m < n_words):
-        raise DistributionError(f"message index {m} out of range")
-    kx = kernel.n_inputs
-    kxp = kernel.n_outputs
-    base = words[m]
-    if base.max() >= kx:
-        raise DistributionError("codeword symbol out of range for the kernel")
-    row_counts = np.bincount(base, minlength=kx)
-    active = row_counts > 0
-    target = kernel.rows * row_counts[:, None]
-    rounded = np.rint(target)
-    if np.max(np.abs((target - rounded)[active])) > 1e-9:
-        return 0
-    rounded = rounded.astype(np.int64)
-    count = 0
-    for mp in range(n_words):
-        if mp == m:
-            continue
-        other = words[mp]
-        if other.max() >= kxp:
-            raise DistributionError("codeword symbol out of range for the kernel")
-        pair_counts = np.zeros((kx, kxp), dtype=np.int64)
-        np.add.at(pair_counts, (base, other), 1)
-        if np.array_equal(pair_counts[active], rounded[active]):
-            count += 1
-    return count

@@ -1,15 +1,15 @@
-"""Constrained optimization over simplices and stochastic kernels.
+"""Grid enumeration and 1-D searches for the exponent routines.
 
-Three pieces live here:
+Four pieces live here:
 
-* exhaustive search over the rational grid of joint distributions with
-  denominator k, intersected with exact marginal constraints and an
-  optional mutual-information cap;
-* local refinement from the best grid point, moving inside the
-  marginal-preserving affine subspace and rejecting steps that break
-  the information constraint;
+* exact integer margins at a resolution, and the contingency tables
+  with those margins, which are the outer grid of couplings;
+* the 2x2 swap directions that move a coupling without changing its
+  margins, used by the continuous polish of the outer objective;
 * 1-D golden-section search, including the concave search over the
-  tilting parameter rho used by the exponent routines.
+  tilting parameter rho;
+* a chunked map whose reduction order does not depend on the worker
+  count.
 
 Everything is deterministic: grid points are visited in a fixed
 lexicographic order, ties in value are broken by the lowest index, and
@@ -26,12 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .measures import (
-    Distribution,
-    DistributionError,
-    compositions,
-    mutual_information_array,
-)
+from .measures import Distribution, DistributionError
 
 #: Slack applied to the information constraint at grid points.
 INFO_SLACK = 1e-9
@@ -55,80 +50,24 @@ class InfeasibleGridError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution and refinement knobs for grid searches.
+    """Resolution, refinement switch and worker count of a grid search.
 
     ``resolution`` is the denominator k: grid distributions have all
-    entries in {0, 1/k, ..., 1}.  ``inner_budget`` caps the number of
-    enumerated points in nested searches; callers coarsen automatically
-    when the nominal resolution would blow past it.  ``workers`` and
-    ``chunk_size`` control deterministic parallel evaluation.
+    entries in {0, 1/k, ..., 1}.  ``refine`` adds continuous descent
+    after the certified grid scan.  ``workers`` is the thread count of
+    the chunked scans; chunk boundaries are fixed, so results do not
+    depend on it.
     """
 
     resolution: int
     refine: bool = True
-    refine_tolerance: float = 1e-7
-    max_refine_iters: int = 500
-    inner_budget: int = 2_000_000
-    chunk_size: int = 1 << 18
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.resolution < 2:
             raise DistributionError(f"grid resolution must be >= 2, got {self.resolution}")
-        if self.refine_tolerance <= 0 or self.max_refine_iters < 1:
-            raise DistributionError("refinement parameters must be positive")
-        if self.inner_budget < 1 or self.chunk_size < 1 or self.workers < 1:
-            raise DistributionError("budget, chunk size and workers must be >= 1")
-
-
-@dataclass(frozen=True)
-class FeasibleSet:
-    """Constraints on a joint distribution of the given shape.
-
-    Either marginal may be pinned to a fixed distribution; an optional
-    upper bound on the mutual information of the joint completes the
-    set.  The information bound is enforced with slack ``INFO_SLACK``
-    at grid points and by step rejection during refinement.
-    """
-
-    shape: tuple[int, int]
-    row_margin: Distribution | None = None
-    col_margin: Distribution | None = None
-    info_bound: float | None = None
-
-    def __post_init__(self) -> None:
-        r, c = self.shape
-        if r < 1 or c < 1:
-            raise DistributionError(f"bad joint shape {self.shape}")
-        if self.row_margin is not None and self.row_margin.size != r:
-            raise DistributionError("row margin size does not match shape")
-        if self.col_margin is not None and self.col_margin.size != c:
-            raise DistributionError("column margin size does not match shape")
-        if self.info_bound is not None and self.info_bound < 0:
-            raise DistributionError("information bound must be >= 0 when present")
-
-    def contains(self, joint: np.ndarray, margin_tol: float = 1e-9) -> bool:
-        if joint.shape != self.shape or np.any(joint < -margin_tol):
-            return False
-        if self.row_margin is not None:
-            if np.max(np.abs(joint.sum(axis=1) - self.row_margin.p)) > margin_tol:
-                return False
-        if self.col_margin is not None:
-            if np.max(np.abs(joint.sum(axis=0) - self.col_margin.p)) > margin_tol:
-                return False
-        if self.info_bound is not None:
-            if mutual_information_array(np.maximum(joint, 0.0)) > self.info_bound + INFO_SLACK:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class GridSearchResult:
-    value: float
-    argmin: np.ndarray
-    index: int
-    n_feasible: int
-    refined: bool
+        if self.workers < 1:
+            raise DistributionError("workers must be >= 1")
 
 
 def margin_counts(margin: Distribution, k: int) -> np.ndarray:
@@ -196,205 +135,23 @@ def enumerate_margin_tables(row_counts: np.ndarray, col_counts: np.ndarray) -> I
     return rec(0, [], col0.copy())
 
 
-def _grid_points(feasible: FeasibleSet, grid: GridSpec) -> Iterator[np.ndarray]:
-    """All grid joints meeting the marginal constraints, in lex order.
+def move_directions(size: int) -> list[np.ndarray]:
+    """2x2 minor swaps of a size-by-size joint, in lexicographic order.
 
-    Both margins pinned: contingency tables divided by k.  One margin
-    pinned: a denominator-k kernel row per positive-mass conditioning
-    symbol (works even when the pinned margin itself is off-grid).  No
-    margins: the whole simplex grid.
+    Each move adds 1 at (i1, j1) and (i2, j2) and subtracts 1 at
+    (i1, j2) and (i2, j1), for i1 < i2 and j1 < j2, so both margins are
+    preserved; together the moves span that subspace.
     """
-    k = grid.resolution
-    rows, cols = feasible.shape
-    rm, cm = feasible.row_margin, feasible.col_margin
-    if rm is not None and cm is not None:
-        rc = margin_counts(rm, k)
-        cc = margin_counts(cm, k)
-        for table in enumerate_margin_tables(rc, cc):
-            yield table.astype(np.float64) / k
-    elif rm is not None or cm is not None:
-        transpose = rm is None
-        margin = (cm if transpose else rm).p
-        n_free = rows if transpose else cols
-        options = compositions(k, n_free).astype(np.float64) / k
-        pos = [i for i in range(margin.size) if margin[i] > 0]
-        idx = np.zeros(len(pos), dtype=np.int64)
-        n_opt = options.shape[0]
-        base = np.zeros((margin.size, n_free))
-        base[margin <= 0] = 1.0 / n_free  # dead rows: any kernel, pick uniform
-        while True:
-            joint = base.copy()
-            for slot, i in enumerate(pos):
-                joint[i] = options[idx[slot]]
-            joint = joint * margin[:, None]
-            yield joint.T.copy() if transpose else joint
-            # odometer increment, last slot fastest
-            slot = len(pos) - 1
-            while slot >= 0:
-                idx[slot] += 1
-                if idx[slot] < n_opt:
-                    break
-                idx[slot] = 0
-                slot -= 1
-            if slot < 0:
-                break
-    else:
-        for comp in compositions(k, rows * cols):
-            yield comp.astype(np.float64).reshape(rows, cols) / k
-
-
-def grid_minimize(
-    objective: Callable[[np.ndarray], float],
-    feasible: FeasibleSet,
-    grid: GridSpec,
-) -> GridSearchResult:
-    """Exhaustive minimum of the objective over the feasible grid.
-
-    The objective receives a plain (rows, cols) array representing the
-    joint.  Ties in value go to the earliest grid index.  When
-    ``grid.refine`` is set, projected coordinate descent polishes the
-    best grid point inside the marginal-preserving subspace.
-
-    Raises InfeasibleGridError when no grid point satisfies the
-    constraints (resolution too coarse).
-    """
-    bound = feasible.info_bound
-    best_val = math.inf
-    best_arg: np.ndarray | None = None
-    best_idx = -1
-    n_feasible = 0
-    for i, joint in enumerate(_grid_points(feasible, grid)):
-        if bound is not None and mutual_information_array(joint) > bound + INFO_SLACK:
-            continue
-        n_feasible += 1
-        v = objective(joint)
-        if v < best_val:
-            best_val, best_arg, best_idx = v, joint, i
-    if best_arg is None:
-        raise InfeasibleGridError(
-            f"no feasible grid point at resolution {grid.resolution}: resolution too coarse"
-        )
-    refined = False
-    if grid.refine and math.isfinite(best_val):
-        new_val, new_arg = refine_joint(objective, best_arg, feasible, grid)
-        if new_val < best_val:
-            best_val, best_arg, refined = new_val, new_arg, True
-    return GridSearchResult(best_val, best_arg, best_idx, n_feasible, refined)
-
-
-def grid_maximize(
-    objective: Callable[[np.ndarray], float],
-    feasible: FeasibleSet,
-    grid: GridSpec,
-) -> GridSearchResult:
-    """Mirror of grid_minimize; ties go to the earliest grid index."""
-    res = grid_minimize(lambda p: -objective(p), feasible, grid)
-    return GridSearchResult(-res.value, res.argmin, res.index, res.n_feasible, res.refined)
-
-
-def move_directions(feasible: FeasibleSet) -> list[np.ndarray]:
-    """Unit moves spanning the constraint-preserving subspace.
-
-    Both margins pinned: 2x2 minor swaps.  Row margin pinned: transfers
-    within a row.  Column margin pinned: transfers within a column.  No
-    margins: transfers between any two cells.
-    """
-    rows, cols = feasible.shape
     dirs: list[np.ndarray] = []
-
-    def d(assign: list[tuple[int, int, float]]) -> np.ndarray:
-        m = np.zeros((rows, cols))
-        for i, j, v in assign:
-            m[i, j] = v
-        return m
-
-    if feasible.row_margin is not None and feasible.col_margin is not None:
-        for i1 in range(rows):
-            for i2 in range(i1 + 1, rows):
-                for j1 in range(cols):
-                    for j2 in range(j1 + 1, cols):
-                        dirs.append(
-                            d([(i1, j1, 1.0), (i2, j2, 1.0), (i1, j2, -1.0), (i2, j1, -1.0)])
-                        )
-    elif feasible.row_margin is not None:
-        for i in range(rows):
-            for j1 in range(cols):
-                for j2 in range(j1 + 1, cols):
-                    dirs.append(d([(i, j1, 1.0), (i, j2, -1.0)]))
-    elif feasible.col_margin is not None:
-        for j in range(cols):
-            for i1 in range(rows):
-                for i2 in range(i1 + 1, rows):
-                    dirs.append(d([(i1, j, 1.0), (i2, j, -1.0)]))
-    else:
-        flat = [(i, j) for i in range(rows) for j in range(cols)]
-        for a in range(len(flat)):
-            for b in range(a + 1, len(flat)):
-                i1, j1 = flat[a]
-                i2, j2 = flat[b]
-                dirs.append(d([(i1, j1, 1.0), (i2, j2, -1.0)]))
+    for i1 in range(size):
+        for i2 in range(i1 + 1, size):
+            for j1 in range(size):
+                for j2 in range(j1 + 1, size):
+                    d = np.zeros((size, size))
+                    d[i1, j1] = d[i2, j2] = 1.0
+                    d[i1, j2] = d[i2, j1] = -1.0
+                    dirs.append(d)
     return dirs
-
-
-def _step_range(p: np.ndarray, direction: np.ndarray) -> tuple[float, float]:
-    # Largest interval [lo, hi] with p + t*direction >= 0 elementwise.
-    lo, hi = -math.inf, math.inf
-    it = np.nditer(direction, flags=["multi_index"])
-    for v in it:
-        dv = float(v)
-        if dv == 0.0:
-            continue
-        cell = float(p[it.multi_index])
-        if dv > 0:
-            lo = max(lo, -cell / dv)
-        else:
-            hi = min(hi, cell / -dv)
-    if lo == -math.inf:
-        lo = 0.0
-    if hi == math.inf:
-        hi = 0.0
-    return lo, hi
-
-
-def refine_joint(
-    objective: Callable[[np.ndarray], float],
-    start: np.ndarray,
-    feasible: FeasibleSet,
-    grid: GridSpec,
-) -> tuple[float, np.ndarray]:
-    """Coordinate descent along constraint-preserving directions.
-
-    Sweeps all directions with a golden-section line search on each;
-    steps that violate the information bound are rejected.  Stops when a
-    full sweep improves by less than ``grid.refine_tolerance`` or after
-    ``grid.max_refine_iters`` sweeps.  Never returns a worse point than
-    ``start``.
-    """
-    p = start.copy()
-    cur = objective(p)
-    bound = feasible.info_bound
-    dirs = move_directions(feasible)
-    tol = grid.refine_tolerance
-    for _ in range(grid.max_refine_iters):
-        sweep_gain = 0.0
-        for direction in dirs:
-            lo, hi = _step_range(p, direction)
-            if hi - lo <= 1e-15:
-                continue
-
-            def along(t: float) -> float:
-                return objective(np.maximum(p + t * direction, 0.0))
-
-            t_best, f_best = golden_section_minimize(along, lo, hi, tol * 1e-2)
-            if f_best < cur - 1e-15 and abs(t_best) > 0:
-                cand = np.maximum(p + t_best * direction, 0.0)
-                if bound is not None and mutual_information_array(cand) > bound + INFO_SLACK:
-                    continue
-                sweep_gain += cur - f_best
-                p, cur = cand, f_best
-        if sweep_gain < tol:
-            break
-    return cur, p
 
 
 def golden_section_minimize(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Channel, Distribution, DistributionError
+from .measures import Channel, Distribution, DistributionError, mutual_information_stack
 from .metrics import Metric
 from .exponents import CompetitorScoreEvaluator
 from .optimizer import ordered_chunk_map
@@ -160,32 +160,6 @@ def sample_code(q_x: Distribution, n: int, M: int, rng: np.random.Generator) -> 
 # Decoder.
 
 
-def _word_scores(words: np.ndarray, y: np.ndarray, metric: Metric) -> np.ndarray:
-    """Total score n*g(joint type of word and y) for every word; exact sums.
-
-    For affine metrics the total is a plain sum of cell values along the
-    block, so no type matrix is ever formed.
-    """
-    if metric.is_affine:
-        return metric.cells[words, y[None, :]].sum(axis=1)
-    m, n = words.shape
-    kx, l = metric.x_size, metric.y_size
-    code = words * l + y[None, :]
-    counts = np.zeros((m, kx * l))
-    np.add.at(counts, (np.repeat(np.arange(m), n), code.reshape(-1)), 1.0)
-    counts /= n
-    j = counts.reshape(m, kx, l)
-    hx = _ent(j.sum(axis=2))
-    hy = _ent(j.sum(axis=1))
-    hxy = _ent(counts)
-    return n * np.maximum(hx + hy - hxy, 0.0)
-
-
-def _ent(a: np.ndarray) -> np.ndarray:
-    safe = np.where(a > 0, a, 1.0)
-    return -np.sum(a * np.log(safe), axis=-1)
-
-
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction; all -inf rows go uniform."""
     m = scores.shape[-1]
@@ -210,7 +184,7 @@ def gld_posterior(codebook: Codebook, y, metric: Metric) -> Distribution:
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (codebook.blocklength,):
         raise DistributionError("output length does not match the codebook blocklength")
-    scores = _word_scores(codebook.words, y, metric)
+    scores = _block_scores(codebook.words, y[None], metric)[0]
     if not np.any(np.isfinite(scores)):
         log.debug("all-forbidden output %s: posterior set to uniform", y)
     return Distribution(_softmax_rows(scores[None, :])[0])
@@ -237,7 +211,11 @@ def _output_blocks(l: int, n: int, start: int, stop: int) -> np.ndarray:
 
 
 def _block_scores(words: np.ndarray, ys: np.ndarray, metric: Metric) -> np.ndarray:
-    """Scores for a block of outputs: (n_outputs, M)."""
+    """Total scores n*g(joint type of word and y) for a block of outputs.
+
+    Returns an (n_outputs, M) array.  For affine metrics the total is a
+    plain sum of cell values along the block, so no type is formed.
+    """
     m, n = words.shape
     if metric.is_affine:
         out = np.empty((ys.shape[0], m))
@@ -253,9 +231,7 @@ def _block_scores(words: np.ndarray, ys: np.ndarray, metric: Metric) -> np.ndarr
         counts = np.zeros((c, kx * l))
         np.add.at(counts, (rows, code), 1.0)
         counts /= n
-        t = counts.reshape(c, kx, l)
-        mi = np.maximum(_ent(t.sum(axis=2)) + _ent(t.sum(axis=1)) - _ent(counts), 0.0)
-        out[:, j] = n * mi
+        out[:, j] = n * mutual_information_stack(counts.reshape(c, kx, l))
     return out
 
 
@@ -371,6 +347,8 @@ def check_good_code(
     y)).  worst_margin is the minimum of (1/n) ln(sum) minus the floor;
     the property holds when it is nonnegative.  Outputs beyond the
     enumeration budget are sampled instead, with ``exhaustive`` False.
+    Exhaustive checks run in fixed output chunks on ``workers`` threads;
+    the report does not depend on the worker count.
     """
     m_count = codebook.size
     if m_count < 2:
@@ -384,9 +362,7 @@ def check_good_code(
     total_outputs = l**n
     exhaustive = total_outputs <= budget
 
-    worst = [math.inf, (0, (0,) * n)]
-
-    def process(ys: np.ndarray) -> None:
+    def scan(ys: np.ndarray) -> tuple[float, tuple[int, tuple[int, ...]]]:
         scores = _block_scores(codebook.words, ys, metric)  # (C, M)
         c = ys.shape[0]
         types = np.zeros((c, l))
@@ -404,27 +380,27 @@ def check_good_code(
             rest = np.maximum(tot - e, 0.0)
             lhs = (mx + np.where(rest > 0, np.log(np.where(rest > 0, rest, 1.0)), -math.inf)) / n
         margin = lhs - floors[:, None]
-        flat = int(np.argmin(margin))
-        yi, mi = divmod(flat, m_count)
-        if margin[yi, mi] < worst[0]:
-            worst[0] = float(margin[yi, mi])
-            worst[1] = (int(mi), tuple(int(v) for v in ys[yi]))
+        yi, mi = divmod(int(np.argmin(margin)), m_count)
+        return float(margin[yi, mi]), (int(mi), tuple(int(v) for v in ys[yi]))
 
     if exhaustive:
-        spans = [(s, min(s + (1 << 14), total_outputs)) for s in range(0, total_outputs, 1 << 14)]
-        for s, e_ in spans:
-            process(_output_blocks(l, n, s, e_))
         checked = total_outputs
+        parts = ordered_chunk_map(
+            lambda s, e: scan(_output_blocks(l, n, s, e)), total_outputs, 1 << 14, workers
+        )
     else:
         gen = rng if rng is not None else np.random.default_rng(0)
         checked = min(samples, total_outputs)
-        ys = gen.integers(0, l, size=(checked, n), dtype=np.int64)
-        process(ys)
+        parts = [scan(gen.integers(0, l, size=(checked, n), dtype=np.int64))]
+    worst, witness = math.inf, (0, (0,) * n)
+    for margin, where in parts:
+        if margin < worst:
+            worst, witness = margin, where
 
     return GoodCodeReport(
-        holds=worst[0] >= 0,
-        worst_margin=worst[0],
-        witness=worst[1],
+        holds=worst >= 0,
+        worst_margin=worst,
+        witness=witness,
         exhaustive=exhaustive,
         n_checked=checked,
         epsilon=epsilon,

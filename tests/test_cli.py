@@ -206,6 +206,25 @@ class TestSimulateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["per_message_error"]["mode"] == "mc"
 
+    def test_mc_mode_reports_std_errors(self, tmp_path, capsys):
+        trials = 3000
+        cfg = write_config(
+            tmp_path,
+            "sim_mc_se.json",
+            {
+                "channel": BSC,
+                "metric": {"kind": "matched"},
+                "rate": 0.2,
+                "resolution": 8,
+                "simulation": {"n": 6, "M": 4, "trials": trials, "seed": 5, "mode": "mc"},
+            },
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        per_message = json.loads(capsys.readouterr().out)["per_message_error"]
+        assert len(per_message["std_errors"]) == len(per_message["values"]) == 4
+        for p, se in zip(per_message["values"], per_message["std_errors"]):
+            assert se == pytest.approx(math.sqrt(p * (1 - p) / trials), rel=1e-12, abs=0)
+
     def test_simulation_block_required(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -6,22 +6,15 @@ import numpy as np
 import pytest
 
 from gldx import (
-    Alphabet,
     Channel,
-    ConditionalDistribution,
     Distribution,
     DistributionError,
     JointDistribution,
     compositions,
-    conditional_divergence,
-    conditional_mutual_information,
-    conditional_type_count,
-    empirical_joint,
     entropy,
-    enumerate_types,
     mutual_information,
 )
-from gldx.simulator import Codebook
+from gldx.measures import mutual_information_array, mutual_information_stack
 
 
 class TestDistribution:
@@ -58,11 +51,6 @@ class TestJoint:
         assert np.array_equal(j.marginal_row().p, [0.1 + 0.2, 0.3 + 0.4])
         assert np.array_equal(j.marginal_col().p, [0.1 + 0.3, 0.2 + 0.4])
 
-    def test_conditional_rows_zero_mass_uniform(self):
-        j = JointDistribution([[0.5, 0.5], [0.0, 0.0]])
-        rows = j.conditional_rows().rows
-        assert np.allclose(rows[1], [0.5, 0.5])
-
     def test_product(self):
         j = JointDistribution.product(Distribution.uniform(2), Distribution([0.25, 0.75]))
         assert mutual_information(j) == 0.0
@@ -85,6 +73,14 @@ class TestChannel:
 
     def test_zero_entries_allowed(self, noiseless):
         assert noiseless.matrix[0, 1] == 0.0
+
+    def test_from_matrix_rejects_bad_row_sum(self):
+        with pytest.raises(DistributionError, match="sum"):
+            Channel.from_matrix([[0.9, 0.1], [0.6, 0.6]])
+
+    def test_from_matrix_rejects_nan(self):
+        with pytest.raises(DistributionError, match="NaN"):
+            Channel.from_matrix([[0.9, 0.1], [math.nan, 1.0]])
 
 
 class TestEntropy:
@@ -128,75 +124,12 @@ class TestMutualInformation:
         )
         assert mutual_information(JointDistribution(p)) == pytest.approx(direct, abs=1e-12)
 
-
-class TestConditionalDivergence:
-    def test_zero_at_channel(self, bsc):
-        kern = ConditionalDistribution(bsc.matrix)
-        assert conditional_divergence(kern, bsc, Distribution.uniform(2)) == 0.0
-
-    def test_support_hole_infinite(self, noiseless):
-        kern = ConditionalDistribution([[0.5, 0.5], [0.5, 0.5]])
-        assert conditional_divergence(kern, noiseless, Distribution.uniform(2)) == math.inf
-
-    def test_zero_weight_row_ignored(self, noiseless):
-        # the hole sits on a conditioning symbol with no mass
-        kern = ConditionalDistribution([[1.0, 0.0], [0.5, 0.5]])
-        d = conditional_divergence(kern, noiseless, Distribution.point_mass(2, 0))
-        assert d == 0.0
-
-    def test_matches_direct_sum(self, bsc):
-        kern = ConditionalDistribution([[0.8, 0.2], [0.4, 0.6]])
-        w = Distribution([0.3, 0.7])
-        direct = sum(
-            w.p[x] * kern.rows[x, y] * math.log(kern.rows[x, y] / bsc.matrix[x, y])
-            for x in range(2)
-            for y in range(2)
-        )
-        got = conditional_divergence(kern, bsc, w)
-        assert got == pytest.approx(direct, abs=1e-12)
-
-
-class TestConditionalMutualInformation:
-    def test_product_triple_zero(self):
-        # q(x, x', y) = comp(x) comp(x') qy(y): X' independent of Y given X
-        comp = np.array([0.5, 0.5])
-        qy = np.array([0.25, 0.75])
-        t = comp[:, None, None] * comp[None, :, None] * qy[None, None, :]
-        j = JointDistribution(t.reshape(4, 2))
-        assert conditional_mutual_information(j, 2) == 0.0
-
-    def test_matches_entropy_identity(self):
-        # I(X'; Y | X) = H(X,X') + H(X,Y) - H(X) - H(X,X',Y)
-        rng = np.random.default_rng(15)
-        t = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
-        j = JointDistribution(t.reshape(4, 2))
-
-        def h(a):
-            a = a.reshape(-1)
-            a = a[a > 0]
-            return -float(np.dot(a, np.log(a)))
-
-        want = h(t.sum(axis=2)) + h(t.sum(axis=1)) - h(t.sum(axis=(1, 2))) - h(t)
-        assert conditional_mutual_information(j, 2) == pytest.approx(want, abs=1e-12)
-
-    def test_rejects_bad_row_count(self):
-        j = JointDistribution(np.full((3, 2), 1.0 / 6.0))
-        with pytest.raises(DistributionError):
-            conditional_mutual_information(j, 2)
-
-
-class TestEmpiricalJoint:
-    def test_counts(self):
-        j = empirical_joint([0, 0, 1, 1], [0, 1, 1, 1], 2, 2)
-        assert np.array_equal(j.p, np.array([[1, 1], [0, 2]]) / 4.0)
-
-    def test_out_of_range(self):
-        with pytest.raises(DistributionError):
-            empirical_joint([0, 2], [0, 0], x_size=2, y_size=1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DistributionError):
-            empirical_joint([0, 1], [0], 2, 2)
+    def test_stack_matches_scalar(self):
+        rng = np.random.default_rng(11)
+        stack = rng.dirichlet(np.ones(6), size=20).reshape(20, 2, 3)
+        stack[0] = [[0.5, 0.0, 0.0], [0.0, 0.25, 0.25]]
+        want = [mutual_information_array(j) for j in stack]
+        assert np.allclose(mutual_information_stack(stack), want, rtol=0, atol=1e-14)
 
 
 class TestTypes:
@@ -215,31 +148,3 @@ class TestTypes:
         c = compositions(3, 2)
         with pytest.raises(ValueError):
             c[0, 0] = 5
-
-    def test_enumerate_types(self):
-        ts = enumerate_types(Alphabet(2), 4)
-        assert len(ts) == 5
-        assert all(abs(t.p.sum() - 1.0) < 1e-15 for t in ts)
-
-
-class TestConditionalTypeCount:
-    def test_hand_example(self):
-        # words 1 and 2 share the conditional type given word 0; word 3 differs
-        code = Codebook.from_words(
-            [
-                [0, 0, 1, 1],
-                [0, 1, 0, 1],
-                [1, 0, 1, 0],
-                [0, 0, 1, 1],
-            ]
-        )
-        kern = ConditionalDistribution([[0.5, 0.5], [0.5, 0.5]])
-        assert conditional_type_count(code, 0, kern) == 2
-        ident = ConditionalDistribution([[1.0, 0.0], [0.0, 1.0]])
-        assert conditional_type_count(code, 0, ident) == 1
-
-    def test_unrealizable_kernel_zero(self):
-        code = Codebook.from_words([[0, 0, 1], [0, 1, 0]])
-        kern = ConditionalDistribution([[0.75, 0.25], [0.5, 0.5]])
-        # 0.75 of two positions is not integral
-        assert conditional_type_count(code, 0, kern) == 0

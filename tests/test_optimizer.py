@@ -1,21 +1,11 @@
-"""Grid search, refinement, and the 1-D searches."""
+"""Margin grids, swap directions, and the 1-D searches."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gldx import (
-    Distribution,
-    FeasibleSet,
-    GridSpec,
-    InfeasibleGridError,
-    golden_section_minimize,
-    grid_maximize,
-    grid_minimize,
-    refine_joint,
-)
-from gldx.measures import mutual_information_array
+from gldx import Distribution, InfeasibleGridError, golden_section_minimize
 from gldx.optimizer import (
     concave_search_rho,
     enumerate_margin_tables,
@@ -70,94 +60,13 @@ class TestMarginTables:
         assert list(enumerate_margin_tables(np.array([3, 3]), np.array([4, 4]))) == []
 
 
-class TestGridMinimize:
-    def test_finds_product_coupling(self, unif2):
-        # entropy-style objective: MI is minimized (0) at the product table
-        feas = FeasibleSet((2, 2), unif2, unif2)
-        res = grid_minimize(mutual_information_array, feas, GridSpec(8, refine=False))
-        assert res.value == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(res.argmin, 0.25)
-
-    def test_info_bound_filters(self, unif2):
-        feas = FeasibleSet((2, 2), unif2, unif2, info_bound=0.1)
-        res = grid_minimize(lambda p: -mutual_information_array(p), feas, GridSpec(8, refine=False))
-        # most informative feasible point stays at or under the cap
-        assert -res.value <= 0.1 + 1e-9
-
-    def test_infeasible_raises(self, unif2):
-        feas = FeasibleSet((2, 2), unif2, unif2, info_bound=0.0)
-        # at k=5 the margins (2.5, 2.5) are not integral
-        with pytest.raises(InfeasibleGridError):
-            grid_minimize(mutual_information_array, feas, GridSpec(5, refine=False))
-
-    def test_tie_breaks_to_first_index(self, unif2):
-        feas = FeasibleSet((2, 2), unif2, unif2)
-        res = grid_minimize(lambda p: 1.0, feas, GridSpec(4, refine=False))
-        assert res.index == 0
-
-    def test_refined_never_worse(self, unif2):
-        rng = np.random.default_rng(17)
-        cost = rng.standard_normal((2, 2))
-
-        def obj(p):
-            return float(np.sum(p * cost) + 3.0 * np.sum((p - 0.25) ** 2))
-
-        feas = FeasibleSet((2, 2), unif2, unif2)
-        raw = grid_minimize(obj, feas, GridSpec(6, refine=False))
-        ref = grid_minimize(obj, feas, GridSpec(6, refine=True))
-        assert ref.value <= raw.value + 1e-15
-
-    def test_maximize_mirrors(self, unif2):
-        feas = FeasibleSet((2, 2), unif2, unif2)
-        res = grid_maximize(mutual_information_array, feas, GridSpec(8, refine=False))
-        assert res.value == pytest.approx(math.log(2), abs=1e-12)
-
-
-class TestSingleMarginGrid:
-    def test_col_margin_only(self):
-        # one kernel row per output symbol; margins on the column side hold
-        qy = Distribution([0.25, 0.75])
-        feas = FeasibleSet((2, 2), row_margin=None, col_margin=qy)
-        res = grid_minimize(mutual_information_array, feas, GridSpec(4, refine=False))
-        assert np.allclose(res.argmin.sum(axis=0), qy.p)
-        assert res.value == pytest.approx(0.0, abs=1e-12)
-
-    def test_off_grid_margin_still_works(self):
-        # the pinned side never needs to be on the grid itself
-        qy = Distribution([1 / 3, 2 / 3])
-        feas = FeasibleSet((2, 2), col_margin=qy)
-        res = grid_minimize(mutual_information_array, feas, GridSpec(4, refine=False))
-        assert np.allclose(res.argmin.sum(axis=0), qy.p)
-
-
 class TestRefinement:
-    def test_moves_preserve_margins(self, unif2):
-        feas = FeasibleSet((2, 3), unif2, Distribution.uniform(3))
-        for d in move_directions(feas):
-            assert np.allclose(d.sum(axis=1), 0.0)
-            assert np.allclose(d.sum(axis=0), 0.0)
-
-    def test_refine_reaches_interior_optimum(self, unif2):
-        target = np.array([[0.35, 0.15], [0.15, 0.35]])
-
-        def obj(p):
-            return float(np.sum((p - target) ** 2))
-
-        feas = FeasibleSet((2, 2), unif2, unif2)
-        start = np.full((2, 2), 0.25)
-        val, arg = refine_joint(obj, start, feas, GridSpec(4))
-        assert val <= 1e-12
-        assert np.allclose(arg, target, atol=1e-5)
-
-    def test_refine_respects_info_bound(self, unif2):
-        feas = FeasibleSet((2, 2), unif2, unif2, info_bound=0.05)
-
-        def obj(p):
-            return -mutual_information_array(p)
-
-        start = np.full((2, 2), 0.25)
-        val, arg = refine_joint(obj, start, feas, GridSpec(4))
-        assert mutual_information_array(arg) <= 0.05 + 1e-8
+    def test_moves_preserve_margins(self):
+        dirs = move_directions(3)
+        assert len(dirs) == math.comb(3, 2) ** 2
+        for d in dirs:
+            assert np.array_equal(d.sum(axis=1), np.zeros(3))
+            assert np.array_equal(d.sum(axis=0), np.zeros(3))
 
 
 class TestGoldenSection:

@@ -209,6 +209,15 @@ class TestGoodCode:
         with pytest.raises(DistributionError):
             check_good_code(code, -0.1, m, rate=0.2)
 
+    def test_workers_report_identical(self, bsc, unif2):
+        # 2^16 outputs: four enumeration chunks, reduced in chunk order
+        code = sample_code(unif2, 16, 4, np.random.default_rng(75))
+        m = matched_metric(bsc)
+        a = check_good_code(code, 0.05, m, rate=0.1, workers=1)
+        b = check_good_code(code, 0.05, m, rate=0.1, workers=8)
+        assert a.exhaustive and a.n_checked == 1 << 16
+        assert a == b
+
     def test_sampled_fallback(self, unif2):
         code = sample_code(unif2, 6, 4, np.random.default_rng(73))
         m = constant_metric(2, 2, 0.0)
