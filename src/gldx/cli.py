@@ -350,15 +350,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--rate", type=float, help="override the rate (nats)")
         p.add_argument("--resolution", type=int, help="override the grid resolution")
-        p.add_argument("--rho-max", dest="rho_max", type=float, help="override the tilt cap")
         p.add_argument("--workers", type=int, help="worker threads (default 1)")
         p.add_argument("--output", help="output file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), help="output format")
+
+    def rho_max(p):
+        p.add_argument("--rho-max", dest="rho_max", type=float, help="override the tilt cap")
 
     p_exp = sub.add_parser("exponent", help="compute both exponent forms at one rate")
     common(p_exp)
+    rho_max(p_exp)
     p_sweep = sub.add_parser("sweep", help="compute exponents over a rate range")
     common(p_sweep)
+    rho_max(p_sweep)
+    p_sweep.add_argument("--format", choices=("json", "csv"), help="output format")
     p_sim = sub.add_parser("simulate", help="sample a code and report error statistics")
     common(p_sim)
     p_sim.add_argument("--n", type=int, help="override the blocklength")

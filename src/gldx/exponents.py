@@ -63,6 +63,7 @@ _INNER_BUDGET = 2_000_000  # kernel stacks one inner scan may enumerate
 _CHUNK_SIZE = 1 << 18  # kernel stacks per scan chunk; fixed so workers cannot matter
 _REFINE_TOL = 1e-7  # a descent sweep gaining less than this ends the descent
 _MAX_REFINE_SWEEPS = 500
+_GRID_SENTINEL = (np.array([np.iinfo(np.int64).max]), np.array([math.nan]))
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,18 @@ class CompetitorScoreEvaluator:
     true supremum.  Two metric families short-circuit exactly: a
     constant metric gives value + rate (the independent kernel is
     optimal), and the empirical-mutual-information metric gives rate
-    (score cancels the information term on the feasible set).
+    (score cancels the information term on the feasible set); all
+    three entry points then return that one base value:
+
+    * ``value(q)``: one composition, memoized on q rounded to 12 digits;
+    * ``value_batch(rows)``: rows deduplicated on the same 12-digit key,
+      scanned in fixed 64-row sub-batches, not memoized;
+    * ``value_grid(counts, den)``: integer compositions ``counts / den``,
+      memoized per denominator on an exact integer key; misses go
+      through ``value_batch``.
+
+    ``value`` keeps its own one-row scan because a padded sub-batch can
+    differ from it in the last bit, which would move refined exponents.
     """
 
     def __init__(self, metric: Metric, rate: float, y_size: int, resolution: int):
@@ -161,16 +173,18 @@ class CompetitorScoreEvaluator:
         self.y_size = y_size
         self.kx = metric.x_size
         self._memo: dict[tuple, float] = {}
-        cells = metric.cells if metric.is_affine else None
+        # den -> (sorted integer keys, values at those keys)
+        self._grid_memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._base: float | None = None
         if not metric.is_affine:
             self.mode = "emi"
-            self.effective_resolution = 0
+            self._base = self.rate
             return
+        cells = metric.cells
         finite = cells[np.isfinite(cells)]
         if finite.size == cells.size and np.all(cells == cells.flat[0]):
             self.mode = "const"
-            self._const = float(cells.flat[0])
-            self.effective_resolution = 0
+            self._base = float(cells.flat[0]) + self.rate
             return
         self.mode = "scan"
         k = 1
@@ -178,7 +192,6 @@ class CompetitorScoreEvaluator:
             if math.comb(cand + self.kx - 1, self.kx - 1) ** y_size > _FLOOR_BUDGET:
                 break
             k = cand
-        self.effective_resolution = k
         opts_counts = compositions(k, self.kx)
         opts = opts_counts.astype(np.float64) / k
         n_opt = opts.shape[0]
@@ -201,11 +214,9 @@ class CompetitorScoreEvaluator:
 
     def value(self, q_y: np.ndarray) -> float:
         """Value at one output composition, memoized."""
+        if self._base is not None:
+            return self._base
         q = np.asarray(q_y, dtype=np.float64)
-        if self.mode == "emi":
-            return self.rate
-        if self.mode == "const":
-            return self._const + self.rate
         key = tuple(np.round(q, 12))
         hit = self._memo.get(key)
         if hit is not None:
@@ -217,13 +228,17 @@ class CompetitorScoreEvaluator:
     def value_batch(self, rows: np.ndarray) -> np.ndarray:
         """Values for a stack of output compositions; not memoized.
 
-        Rows are processed in fixed-height sub-batches so the result
-        for a given row depends only on that row.
+        Rows equal to 12 digits are evaluated once.  The distinct rows
+        are processed in fixed-height sub-batches so the result for a
+        given row depends only on that row.
         """
         rows = np.asarray(rows, dtype=np.float64)
-        if self.mode in ("emi", "const"):
-            base = self.rate if self.mode == "emi" else self._const + self.rate
-            return np.full(rows.shape[0], base)
+        if self._base is not None:
+            return np.full(rows.shape[0], self._base)
+        _, first, inverse = np.unique(
+            np.round(rows, 12), axis=0, return_index=True, return_inverse=True
+        )
+        rows = rows[first]
         n = rows.shape[0]
         out = np.empty(n)
         for s in range(0, n, _ALPHA_BATCH):
@@ -234,7 +249,39 @@ class CompetitorScoreEvaluator:
                 out[s : s + block.shape[0]] = self._scan(padded)[: block.shape[0]]
             else:
                 out[s : s + _ALPHA_BATCH] = self._scan(block)
-        return out
+        return out[inverse]
+
+    def value_grid(self, counts: np.ndarray, den: int) -> np.ndarray:
+        """Values at the integer compositions ``counts / den``, memoized.
+
+        Each row of ``counts`` sums to ``den`` and is keyed by its digits
+        in base den+1.  Missing keys are evaluated once through
+        ``value_batch`` and merged in before the lookup, so every lookup
+        hits its key.  Keys that would overflow int64 skip the memo.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if self._base is not None:
+            return np.full(counts.shape[0], self._base)
+        den = int(den)
+        if (den + 1) ** self.y_size > 2**62:
+            return self.value_batch(counts / den)
+        keys = counts @ (den + 1) ** np.arange(self.y_size, dtype=np.int64)
+        # The memo ends in a sentinel key above every real key, so each
+        # searchsorted position indexes an entry.
+        known, vals = self._grid_memo.get(den, _GRID_SENTINEL)
+        pos = np.searchsorted(known, keys)
+        miss = known[pos] != keys
+        if miss.any():
+            new, first = np.unique(keys[miss], return_index=True)
+            at = np.searchsorted(known, new)
+            known = np.insert(known, at, new)
+            vals = np.insert(vals, at, self.value_batch(counts[miss][first] / den))
+            # Threads scanning in parallel may miss the same keys and
+            # overwrite each other's merge; a lost update only means
+            # recomputing values that are bitwise equal, so no lock.
+            self._grid_memo[den] = (known, vals)
+            pos = np.searchsorted(known, keys)
+        return vals[pos]
 
     def _scan(self, qys: np.ndarray) -> np.ndarray:
         # (B, y_size) -> (B,) grid suprema; kernel-chunked for memory.
@@ -318,7 +365,6 @@ class ConfusionExponentSolver:
         self.l = channel.output_size
         self.kx = channel.input_size
         self._per_res: dict[int, tuple] = {}
-        self._floor_cache: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
         if metric.is_affine:
             cells = metric.cells
             self._mneg = np.isneginf(cells)
@@ -383,9 +429,11 @@ class ConfusionExponentSolver:
     ) -> InnerSolution:
         """Inner minimum for one coupling.
 
-        ``counts`` (integer table summing to the outer resolution)
-        enables exact integer keying of output compositions during the
-        scan.  ``skip_grid`` starts refinement from ``warm`` kernels
+        ``counts`` (integer table summing to the outer resolution) makes
+        each scanned output composition an integer vector over resolution
+        * inner resolution, floored through ``value_grid``; without it the
+        floor comes from ``value_batch`` on float compositions.
+        ``skip_grid`` starts refinement from ``warm`` kernels
         (missing cells start at the channel row) without scanning;
         used by the outer polish where the scan would dominate.
         """
@@ -449,16 +497,12 @@ class ConfusionExponentSolver:
             gx = [w[r] * gsc[cells[r][0]] for r in range(s)]
             gxp = [w[r] * gsc[cells[r][1]] for r in range(s)]
         wopts = [w[r] * opts for r in range(s)]
-        exact = counts is not None
-        if exact:
+        if counts is not None:
             cvec = np.array(
                 [int(round(counts[cells[r][0], cells[r][1]])) for r in range(s)], dtype=np.int64
             )
             den = int(self.grid.resolution) * k_in
-            if (den + 1) ** self.l > 2**62:
-                exact = False
         place = [n_opt ** (s - 1 - r) for r in range(s)]
-        floor_table = self._floor_table(den, n_combo) if exact else None
 
         def chunk(start: int, stop: int) -> tuple[float, int]:
             idx = np.arange(start, stop, dtype=np.int64)
@@ -467,15 +511,16 @@ class ConfusionExponentSolver:
             dsum = np.zeros(c)
             for r in range(s):
                 dsum += dvec[r][digs[r]]
-            if exact:
+            if counts is not None:
                 qy_int = np.zeros((c, self.l), dtype=np.int64)
                 for r in range(s):
                     qy_int += cvec[r] * opt_counts[digs[r]]
-                qy = qy_int.astype(np.float64) / den
+                floor = self.score_eval.value_grid(qy_int, den)
             else:
                 qy = np.zeros((c, self.l))
                 for r in range(s):
                     qy += wopts[r][digs[r]]
+                floor = self.score_eval.value_batch(qy)
             if affine:
                 g1 = np.zeros(c)
                 g2 = np.zeros(c)
@@ -490,9 +535,6 @@ class ConfusionExponentSolver:
                     jxpy[:, cells[r][1], :] += wopts[r][digs[r]]
                 g1 = mutual_information_stack(jxy)
                 g2 = mutual_information_stack(jxpy)
-            floor = self._floor_for_scan(
-                qy, qy_int if exact else None, den if exact else 0, floor_table
-            )
             with np.errstate(invalid="ignore"):
                 bracket = np.where(
                     np.isneginf(g2),
@@ -512,57 +554,6 @@ class ConfusionExponentSolver:
             return math.inf, np.zeros(s, dtype=np.int64)
         digits = np.array([(best_i // place[r]) % n_opt for r in range(s)], dtype=np.int64)
         return best_v, digits
-
-    def _floor_table(self, den: int, n_combo: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Floor values for every output composition with denominator den.
-
-        Built once per denominator, in a fixed enumeration order, before
-        any parallel chunk runs; chunks then do exact-key lookups.  Only
-        built when cheaper than re-evaluating per-chunk uniques.
-        """
-        if self.score_eval.mode != "scan":
-            return None
-        if den in self._floor_cache:
-            return self._floor_cache[den]
-        rows = math.comb(den + self.l - 1, self.l - 1)
-        n_kern = self.score_eval._row_entropy.shape[0]
-        n_chunks = -(-n_combo // _CHUNK_SIZE)
-        est_scan_evals = n_chunks * min(_CHUNK_SIZE, n_combo, rows)
-        table = None
-        if rows <= min(40000, est_scan_evals) and rows * n_kern <= 5 * 10**8:
-            ints = compositions(den, self.l)
-            powers = (den + 1) ** np.arange(self.l, dtype=np.int64)
-            keys = ints @ powers
-            order = np.argsort(keys)
-            vals = self.score_eval.value_batch(ints.astype(np.float64) / den)
-            table = (keys[order], vals[order])
-        self._floor_cache[den] = table
-        return table
-
-    def _floor_for_scan(
-        self,
-        qy: np.ndarray,
-        qy_int: np.ndarray | None,
-        den: int,
-        table: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        if self.score_eval.mode in ("emi", "const"):
-            return self.score_eval.value_batch(qy[:1]).repeat(qy.shape[0])
-        if qy_int is not None and table is not None:
-            powers = (den + 1) ** np.arange(self.l, dtype=np.int64)
-            pos = np.searchsorted(table[0], qy_int @ powers)
-            return table[1][pos]
-        if qy_int is not None:
-            powers = (den + 1) ** np.arange(self.l, dtype=np.int64)
-            keys = qy_int @ powers
-            uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        else:
-            rounded = np.round(qy, 12)
-            uniq, first, inverse = np.unique(
-                rounded, axis=0, return_index=True, return_inverse=True
-            )
-        vals = self.score_eval.value_batch(qy[first])
-        return vals[inverse]
 
     # -- refinement -------------------------------------------------------
 

@@ -66,20 +66,6 @@ class Distribution:
     def uniform(size: int) -> "Distribution":
         return Distribution(np.full(size, 1.0 / size))
 
-    @staticmethod
-    def point_mass(size: int, index: int) -> "Distribution":
-        v = np.zeros(size)
-        v[index] = 1.0
-        return Distribution(v)
-
-    @staticmethod
-    def from_counts(counts) -> "Distribution":
-        c = np.asarray(counts, dtype=np.float64)
-        total = c.sum()
-        if total <= 0:
-            raise DistributionError("counts must have positive total")
-        return Distribution(c / total)
-
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -97,16 +83,6 @@ class JointDistribution:
     @property
     def shape(self) -> tuple[int, int]:
         return self.p.shape
-
-    def marginal_row(self) -> Distribution:
-        return Distribution(self.p.sum(axis=1))
-
-    def marginal_col(self) -> Distribution:
-        return Distribution(self.p.sum(axis=0))
-
-    @staticmethod
-    def product(px: Distribution, py: Distribution) -> "JointDistribution":
-        return JointDistribution(np.outer(px.p, py.p))
 
 
 @dataclass(frozen=True)

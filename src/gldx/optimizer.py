@@ -33,6 +33,7 @@ INFO_SLACK = 1e-9
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_GOLDEN_MAX_ITERS = 200  # step cap; 0.618**200 < 1e-41, so tol binds first
 
 
 class InfeasibleGridError(ValueError):
@@ -155,7 +156,7 @@ def move_directions(size: int) -> list[np.ndarray]:
 
 
 def golden_section_minimize(
-    f: Callable[[float], float], lo: float, hi: float, tol: float, max_iters: int = 200
+    f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> tuple[float, float]:
     """Golden-section minimum of a unimodal function on [lo, hi].
 
@@ -174,7 +175,7 @@ def golden_section_minimize(
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc, fd = f(c), f(d)
-    for _ in range(max_iters):
+    for _ in range(_GOLDEN_MAX_ITERS):
         if h <= tol:
             break
         if fc < fd:

@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 
 _MC_BLOCK = 4096  # trials per derived stream; fixed so workers cannot matter
 _ENUM_BUDGET = 1 << 24
+_BLOCKLENGTH_SPAN = 10_000  # farthest nearest_valid_blocklength looks from n
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,9 @@ class GoodCodeReport:
         }
 
 
-def nearest_valid_blocklength(q_x: Distribution, n: int, span: int = 10000) -> int | None:
+def nearest_valid_blocklength(q_x: Distribution, n: int) -> int | None:
     """Closest blocklength to n at which n times the composition is integral."""
-    for delta in range(0, span + 1):
+    for delta in range(0, _BLOCKLENGTH_SPAN + 1):
         for cand in ((n - delta, n + delta) if delta else (n,)):
             if cand >= 1:
                 target = q_x.p * cand
@@ -365,13 +366,9 @@ def check_good_code(
     def scan(ys: np.ndarray) -> tuple[float, tuple[int, tuple[int, ...]]]:
         scores = _block_scores(codebook.words, ys, metric)  # (C, M)
         c = ys.shape[0]
-        types = np.zeros((c, l))
-        np.add.at(types, (np.repeat(np.arange(c), n), ys.reshape(-1)), 1.0)
-        types /= n
-        uniq, first, inverse = np.unique(
-            np.round(types, 12), axis=0, return_index=True, return_inverse=True
-        )
-        floors = evaluator.value_batch(types[first])[inverse]
+        types = np.zeros((c, l), dtype=np.int64)
+        np.add.at(types, (np.repeat(np.arange(c), n), ys.reshape(-1)), 1)
+        floors = evaluator.value_grid(types, n)
         mx = scores.max(axis=1, keepdims=True)
         mx = np.where(np.isfinite(mx), mx, 0.0)
         e = np.where(np.isneginf(scores), 0.0, np.exp(scores - mx))

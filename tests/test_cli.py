@@ -265,6 +265,18 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert main(["exponent", "--config", "/no/such/file.json"]) == 2
 
+    def test_exponent_rejects_format_flag(self, exp_config):
+        # only sweep reads --format
+        with pytest.raises(SystemExit) as exc:
+            main(["exponent", "--config", exp_config, "--format", "csv"])
+        assert exc.value.code == 2
+
+    def test_simulate_rejects_rho_max_flag(self, exp_config):
+        # only exponent and sweep read --rho-max
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", exp_config, "--rho-max", "2"])
+        assert exc.value.code == 2
+
     def test_infeasible_grid_is_exit_3(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -6,6 +6,8 @@ oracle agreement itself is covered in test_oracle_equivalence.py.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from gldx import (
     InfeasibleGridError,
     JointDistribution,
     competitor_score_exponent,
+    compositions,
     constant_metric,
     emi_metric,
     exponent_form,
@@ -87,6 +90,53 @@ class TestScoreFloor:
     def test_size_mismatch(self, bsc):
         with pytest.raises(DistributionError):
             competitor_score_exponent(0.1, Distribution.uniform(3), bsc, matched_metric(bsc), 8)
+
+    @pytest.mark.parametrize("chan, rate, den", [("bsc", 0.3, 256), ("wide", 0.1, 56)])
+    def test_grid_matches_batch(self, request, chan, rate, den):
+        # two overlapping calls: the first fills the memo, the second
+        # mixes memo hits with new keys
+        ch = request.getfixturevalue(chan)
+        ev = CompetitorScoreEvaluator(matched_metric(ch), rate, ch.output_size, 8)
+        counts = compositions(den, ch.output_size)
+        n = counts.shape[0]
+        head = ev.value_grid(counts[: 2 * n // 3], den)
+        tail = ev.value_grid(counts[n // 3 :], den)
+        want = ev.value_batch(counts / den)
+        assert np.array_equal(head, want[: 2 * n // 3])
+        assert np.array_equal(tail, want[n // 3 :])
+
+    def test_grid_memo_shared_by_threads(self, wide):
+        # threads that miss the same keys race to store their merges; a
+        # lost update may recompute values but never changes one
+        ev = CompetitorScoreEvaluator(matched_metric(wide), 0.1, 3, 8)
+        counts = compositions(40, 3)
+        want = ev.value_batch(counts / 40)
+        rng = np.random.default_rng(5)
+        picks = [rng.choice(counts.shape[0], 200, replace=False) for _ in range(16)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda i: ev.value_grid(counts[i], 40), picks, timeout=120))
+        finally:
+            sys.setswitchinterval(old)
+        for i, g in zip(picks, got):
+            assert np.array_equal(g, want[i])
+
+    def test_grid_overflow_falls_back_to_batch(self, bsc):
+        ev = CompetitorScoreEvaluator(matched_metric(bsc), 0.3, 2, 12)
+        got = ev.value_grid(np.array([[2**31, 2**31]]), 2**32)
+        assert np.array_equal(got, ev.value_batch(np.array([[0.5, 0.5]])))
+
+    @pytest.mark.parametrize(
+        "metric, base", [(constant_metric(2, 2, 0.4), 0.4 + 0.25), (emi_metric(2, 2), 0.25)]
+    )
+    def test_short_circuit_base_value(self, metric, base):
+        ev = CompetitorScoreEvaluator(metric, 0.25, 2, 16)
+        counts = compositions(8, 2)
+        assert ev.value(np.array([0.3, 0.7])) == base
+        assert np.all(ev.value_batch(counts / 8) == base)
+        assert np.all(ev.value_grid(counts, 8) == base)
 
 
 class TestPairwiseConfusion:
@@ -253,5 +303,16 @@ class TestDeterminism:
         a = exponent_form(query, GridSpec(8, workers=1))
         b = exponent_form(query, GridSpec(8, workers=8))
         assert a.value == b.value
+        assert a.rho_star == b.rho_star
+        assert np.array_equal(a.argmin, b.argmin)
+
+    def test_workers_share_floor_memo(self, wide, unif2):
+        # the 2x3 inner scans run in seven chunks that fill one floor memo
+        query = ExponentQuery(0.1, unif2, wide, matched_metric(wide))
+        a = exponent_form(query, GridSpec(8, refine=False, workers=1))
+        b = exponent_form(query, GridSpec(8, refine=False, workers=4))
+        assert a.value == b.value
+        assert a.expurgated_value == b.expurgated_value
+        assert a.maxmin_value == b.maxmin_value
         assert a.rho_star == b.rho_star
         assert np.array_equal(a.argmin, b.argmin)
