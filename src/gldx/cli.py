@@ -94,6 +94,9 @@ def _load_config(args) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     for field in ("rate", "resolution", "workers", "output", "format", "rho_max"):
+        # A command lacks the flag of every field it never reads.
+        if not hasattr(args, field) and field in cfg:
+            raise ConfigError(f"{args.command} does not read the config field {field!r}")
         v = getattr(args, field, None)
         if v is not None:
             cfg[field] = v
@@ -276,10 +279,7 @@ def cmd_simulate(cfg: dict) -> int:
             "output space exceeds the enumeration budget; set simulation mode to 'mc'"
         )
     if mode == "exact":
-        errors = [
-            exact_error_probability(code, m, channel, metric, workers=workers)
-            for m in range(code.size)
-        ]
+        errors = exact_error_probability(code, range(code.size), channel, metric, workers=workers)
         per_message = {"mode": mode, "values": errors}
     elif mode == "mc":
         estimates = [

@@ -238,17 +238,20 @@ def _block_scores(words: np.ndarray, ys: np.ndarray, metric: Metric) -> np.ndarr
 
 def exact_error_probability(
     codebook: Codebook,
-    m: int,
+    m,
     channel: Channel,
     metric: Metric,
     budget: int = _ENUM_BUDGET,
     workers: int = 1,
-) -> float:
-    """Exact decoding error for message m by full output enumeration.
+) -> float | list[float]:
+    """Exact decoding error by full output enumeration.
 
-    Sums W(y | word m) * (1 - posterior_m(y)) over every output block
-    in lexicographic order with a fixed-order reduction.  Rejects runs
-    whose output space exceeds the budget, pointing at Monte Carlo.
+    ``m`` is a message index (gives a float) or a sequence of indices
+    (gives a list in the same order).  One pass over the outputs serves
+    all messages, summing W(y | word m) * (1 - posterior_m(y)) in chunk
+    order per message, so a value depends neither on the sequence nor on
+    the worker count.  Rejects runs whose output space exceeds the
+    budget, pointing at Monte Carlo, before any work.
     """
     n = codebook.blocklength
     l = channel.output_size
@@ -258,22 +261,25 @@ def exact_error_probability(
             f"output space {l}^{n} exceeds the enumeration budget {budget}; "
             "use monte_carlo_error instead"
         )
-    if not (0 <= m < codebook.size):
-        raise DistributionError(f"message index {m} out of range")
-    word = codebook.words[m]
+    msgs = [m] if np.ndim(m) == 0 else list(m)
+    for i in msgs:
+        if not (0 <= i < codebook.size):
+            raise DistributionError(f"message index {i} out of range")
     with np.errstate(divide="ignore"):
         logw = np.where(channel.matrix > 0, np.log(np.where(channel.matrix > 0, channel.matrix, 1.0)), -math.inf)
 
-    def chunk(start: int, stop: int) -> float:
+    def chunk(start: int, stop: int) -> list[float]:
         ys = _output_blocks(l, n, start, stop)
-        lp = logw[word[None, :], ys].sum(axis=1)
-        wmass = np.exp(lp)
-        scores = _block_scores(codebook.words, ys, metric)
-        post = _softmax_rows(scores)
-        return float(np.dot(wmass, 1.0 - post[:, m]))
+        post = _softmax_rows(_block_scores(codebook.words, ys, metric))
+        return [
+            float(np.dot(np.exp(logw[codebook.words[i][None, :], ys].sum(axis=1)), 1.0 - post[:, i]))
+            for i in msgs
+        ]
 
-    parts = ordered_chunk_map(chunk, total_outputs, 1 << 14, workers)
-    return min(max(math.fsum(parts), 0.0), 1.0)
+    # No messages, no pass: zero outputs give zero chunks and an empty list.
+    parts = ordered_chunk_map(chunk, total_outputs if msgs else 0, 1 << 14, workers)
+    probs = [min(max(math.fsum(col), 0.0), 1.0) for col in zip(*parts)]
+    return probs[0] if np.ndim(m) == 0 else probs
 
 
 def monte_carlo_error(
@@ -448,9 +454,7 @@ def markov_bound_check(
     if rho < 1:
         raise DistributionError(f"rho must be >= 1, got {rho}")
     if error_probs is None:
-        error_probs = [
-            exact_error_probability(codebook, m, channel, metric) for m in range(codebook.size)
-        ]
+        error_probs = exact_error_probability(codebook, range(codebook.size), channel, metric)
     probs = np.asarray(error_probs, dtype=np.float64)
     m = probs.size
     lhs = float((2.0 / m) * np.sum(probs ** (1.0 / rho)))
@@ -485,14 +489,9 @@ def empirical_exponent(
         for c in range(codes_per_n):
             sub = np.random.Generator(np.random.PCG64(np.random.SeedSequence((master, n, c))))
             code = sample_code(q_x, n, m_size, sub)
-            probs = [
-                exact_error_probability(code, m, channel, metric) for m in range(m_size)
-            ]
+            probs = exact_error_probability(code, range(m_size), channel, metric)
             pruned = half_expurgate(code, probs)
-            worst = max(
-                exact_error_probability(pruned, m, channel, metric)
-                for m in range(pruned.size)
-            )
+            worst = max(exact_error_probability(pruned, range(pruned.size), channel, metric))
             if worst < best:
                 best = worst
         exponent = math.inf if best <= 0 else -math.log(best) / n

@@ -169,7 +169,7 @@ def _check_markov(workers: int) -> tuple[bool, str]:
     metric = matched_metric(_BSC01)
     for i in range(10):
         code = sample_code(_UNIF2, 6, 4, rng)
-        probs = [exact_error_probability(code, m, _BSC01, metric) for m in range(4)]
+        probs = exact_error_probability(code, range(4), _BSC01, metric)
         for rho in (1.0, 2.0, 5.0):
             lhs, rhs, holds = markov_bound_check(code, _BSC01, metric, rho, probs)
             if not holds:

@@ -277,6 +277,35 @@ class TestExitCodes:
             main(["simulate", "--config", exp_config, "--rho-max", "2"])
         assert exc.value.code == 2
 
+    def test_exponent_rejects_format_field(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "exp_fmt.json",
+            {"channel": BSC, "metric": {"kind": "matched"}, "rate": 0.1, "format": "csv"},
+        )
+        assert main(["exponent", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert "input error" in out.err and "'format'" in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("field, value", [("format", "csv"), ("rho_max", 2.0)])
+    def test_simulate_rejects_unread_field(self, tmp_path, capsys, field, value):
+        cfg = write_config(
+            tmp_path,
+            "sim_unread.json",
+            {
+                "channel": BSC,
+                "metric": {"kind": "matched"},
+                "rate": 0.2,
+                "simulation": {"n": 4, "M": 2, "trials": 100, "seed": 1},
+                field: value,
+            },
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert "input error" in out.err and f"'{field}'" in out.err
+        assert out.out == ""
+
     def test_infeasible_grid_is_exit_3(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -164,6 +164,43 @@ class TestExactError:
         b = exact_error_probability(code, 1, bsc, m, workers=8)
         assert a == b
 
+    @pytest.mark.parametrize("case", ["bsc-matched", "wide-emi"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_sequence_matches_per_message_calls(self, bsc, wide, unif2, case, workers):
+        # affine scores at n=12 (one chunk); non-affine emi at n=10 (four chunks)
+        if case == "bsc-matched":
+            channel, metric, n, size = bsc, matched_metric(bsc), 12, 6
+        else:
+            channel, metric, n, size = wide, emi_metric(2, 3), 10, 4
+        code = sample_code(unif2, n, size, np.random.default_rng(31))
+        order = [size - 1, 0, 2, 0, 1] + list(range(3, size - 1))
+        for msgs in (range(size), order):
+            want = [exact_error_probability(code, i, channel, metric, workers=workers) for i in msgs]
+            got = exact_error_probability(code, msgs, channel, metric, workers=workers)
+            assert isinstance(got, list)
+            assert got == want
+
+    @pytest.mark.parametrize("msgs", [[0, 1, 2], [-1, 0], np.array([1, 0, 5])])
+    def test_sequence_index_checked(self, bsc, unif2, msgs):
+        code = sample_code(unif2, 4, 2, np.random.default_rng(7))
+        with pytest.raises(DistributionError, match="out of range"):
+            exact_error_probability(code, msgs, bsc, matched_metric(bsc))
+
+    def test_budget_rejected_before_enumeration(self, bsc, unif2, monkeypatch):
+        code = sample_code(unif2, 6, 2, np.random.default_rng(6))
+
+        def no_enumeration(*_):
+            raise AssertionError("outputs enumerated")
+
+        monkeypatch.setattr("gldx.simulator._output_blocks", no_enumeration)
+        for msgs in (0, [0, 1], []):
+            with pytest.raises(DistributionError, match="monte_carlo_error"):
+                exact_error_probability(code, msgs, bsc, matched_metric(bsc), budget=32)
+
+    def test_empty_sequence(self, bsc, unif2):
+        code = sample_code(unif2, 4, 2, np.random.default_rng(7))
+        assert exact_error_probability(code, [], bsc, matched_metric(bsc)) == []
+
 
 class TestMonteCarlo:
     def test_reproducible_and_worker_invariant(self, bsc, unif2):
@@ -276,9 +313,12 @@ class TestExpurgation:
                 assert lhs >= rhs - 1e-12
 
     def test_markov_bound_computes_probs_when_absent(self, bsc, unif2):
-        code = sample_code(unif2, 4, 2, np.random.default_rng(62))
-        lhs, rhs, holds = markov_bound_check(code, bsc, matched_metric(bsc), 2.0)
+        code = sample_code(unif2, 6, 4, np.random.default_rng(62))
+        m = matched_metric(bsc)
+        probs = [exact_error_probability(code, i, bsc, m) for i in range(4)]
+        lhs, rhs, holds = markov_bound_check(code, bsc, m, 2.0)
         assert holds
+        assert (lhs, rhs, holds) == markov_bound_check(code, bsc, m, 2.0, probs)
 
     def test_markov_bound_rho_floor(self, bsc, unif2):
         code = sample_code(unif2, 4, 2, np.random.default_rng(63))
