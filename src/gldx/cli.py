@@ -237,15 +237,6 @@ def cmd_sweep(cfg: dict) -> int:
     return 0
 
 
-def _codebook_from_config(sim: dict, comp: Distribution, rng: np.random.Generator) -> Codebook:
-    if "codewords" in sim:
-        words = np.asarray(sim["codewords"], dtype=np.int64)
-        kx = comp.size
-        counts = np.bincount(words[0], minlength=kx)
-        return Codebook(words, Distribution(counts / words.shape[1]))
-    return sample_code(comp, int(sim["n"]), int(sim["M"]), rng)
-
-
 def cmd_simulate(cfg: dict) -> int:
     channel = _channel_from_config(cfg)
     metric = _metric_from_config(cfg, channel)
@@ -254,9 +245,18 @@ def cmd_simulate(cfg: dict) -> int:
     sim = cfg.get("simulation")
     if not isinstance(sim, dict):
         raise ConfigError("simulate needs a 'simulation' block in the config")
+    words = None
     if "codewords" in sim:
+        # Explicit words fix n and M; without a config composition, the
+        # first word's type is the code composition.
         words = np.asarray(sim["codewords"], dtype=np.int64)
+        kx = channel.input_size
+        if words.ndim != 2 or words.size == 0 or words.min() < 0 or words.max() >= kx:
+            raise ConfigError(f"codewords must be equal-length words over the {kx} channel inputs")
         sim = dict(sim, n=words.shape[1], M=words.shape[0])
+        if "composition" not in cfg:
+            counts = np.bincount(words[0], minlength=kx)
+            comp = Distribution(counts / words.shape[1])
     for key in ("n", "M", "trials", "seed"):
         if key not in sim:
             raise ConfigError(f"simulation block is missing '{key}'")
@@ -269,7 +269,10 @@ def cmd_simulate(cfg: dict) -> int:
     )
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    code = _codebook_from_config(sim, comp, rng)
+    if words is None:
+        code = sample_code(comp, config.n, config.M, rng)
+    else:
+        code = Codebook(words, comp)
     mode = sim.get("mode", "auto")
     feasible = channel.output_size**code.blocklength <= _ENUM_BUDGET
     if mode == "auto":

@@ -44,7 +44,7 @@ from .measures import (
     mutual_information_array,
     mutual_information_stack,
 )
-from .metrics import AffineMetric, Metric
+from .metrics import Metric
 from .optimizer import (
     INFO_SLACK,
     GridSpec,
@@ -345,7 +345,8 @@ class ConfusionExponentSolver:
     The divergence part separates across cells; the clipped deficit
     couples cells only through the output-side marginals.  An
     exhaustive grid scan over per-cell kernels (chunked, deterministic)
-    is followed by coordinate-descent refinement of the best point.
+    is followed by coordinate-descent refinement of the best point:
+    ``_descend`` moves mass between two outputs of one kernel at a time.
     """
 
     def __init__(
@@ -434,8 +435,10 @@ class ConfusionExponentSolver:
         * inner resolution, floored through ``value_grid``; without it the
         floor comes from ``value_batch`` on float compositions.
         ``skip_grid`` starts refinement from ``warm`` kernels
-        (missing cells start at the channel row) without scanning;
-        used by the outer polish where the scan would dominate.
+        (missing cells start at the channel row) without scanning.  The
+        outer polish uses it for every solve: first from the kernels the
+        scan in ``_prepare`` found, which refines the very stack a second
+        scan would find, then from the kernels of its last accepted step.
         """
         do_refine = self.grid.refine if refine is None else refine
         cells = [
@@ -456,28 +459,20 @@ class ConfusionExponentSolver:
             # channel rows.
             stack = np.stack([self.W[x] for x, _, _ in cells])
             return InnerSolution(self.rate, self._stack_dict(cells, stack), k_in, note)
-        opt_counts, opts, dopt, gsc = self._tables(k_in)
-
         if skip_grid:
-            stack = np.empty((s, self.l))
-            for r, (x, xp, _) in enumerate(cells):
-                if warm is not None and (x, xp) in warm:
-                    stack[r] = warm[(x, xp)]
-                else:
-                    stack[r] = self.W[x]
-            value, stack = self._refine_stack(cells, stack, max_sweeps, line_tol)
-            return InnerSolution(value, self._stack_dict(cells, stack), k_in, note)
-
-        value, digits = self._scan(cells, counts, k_in)
-        if not math.isfinite(value):
-            # Support analysis: every kernel combination is forbidden, so
-            # the continuous infimum is +inf as well (grid vertices cover
-            # every support pattern).
-            return InnerSolution(
-                math.inf, None, k_in, "support-forced +inf: no kernel avoids a forbidden cell"
-            )
-        stack = opts[digits]
-        if do_refine:
+            warm = warm or {}
+            stack = np.array([warm.get((x, xp), self.W[x]) for x, xp, _ in cells])
+        else:
+            value, digits = self._scan(cells, counts, k_in)
+            if not math.isfinite(value):
+                # Support analysis: every kernel combination is forbidden, so
+                # the continuous infimum is +inf as well (grid vertices cover
+                # every support pattern).
+                return InnerSolution(
+                    math.inf, None, k_in, "support-forced +inf: no kernel avoids a forbidden cell"
+                )
+            stack = self._tables(k_in)[1][digits]
+        if skip_grid or do_refine:
             value, stack = self._refine_stack(cells, stack, max_sweeps, line_tol)
         return InnerSolution(value, self._stack_dict(cells, stack), k_in, note)
 
@@ -601,39 +596,66 @@ class ConfusionExponentSolver:
         return max(total_d, 0.0) + bracket
 
     def _refine_stack(
-        self, cells, stack: np.ndarray, max_sweeps: int | None, line_tol: float | None = None
+        self, cells, stack: np.ndarray, max_sweeps: int | None, line_tol: float | None
     ) -> tuple[float, np.ndarray]:
-        cur = self.stack_value(cells, stack)
-        s = len(cells)
-        if line_tol is None:
-            line_tol = _REFINE_TOL * 1e-2
-        sweeps = _MAX_REFINE_SWEEPS if max_sweeps is None else max_sweeps
+        # Each direction moves mass from output y2 to output y1 of one row.
+        unit = np.eye(stack.size).reshape((-1,) + stack.shape)
         dirs = [
-            (r, y1, y2) for r in range(s) for y1 in range(self.l) for y2 in range(y1 + 1, self.l)
+            unit[r * self.l + y1] - unit[r * self.l + y2]
+            for r in range(len(cells))
+            for y1 in range(self.l)
+            for y2 in range(y1 + 1, self.l)
         ]
-        for _ in range(sweeps):
-            gain = 0.0
-            for r, y1, y2 in dirs:
-                lo = -stack[r, y1]
-                hi = stack[r, y2]
-                if hi - lo <= 1e-15:
-                    continue
+        sweeps = _MAX_REFINE_SWEEPS if max_sweeps is None else max_sweeps
+        line_tol = _REFINE_TOL * 1e-2 if line_tol is None else line_tol
 
-                def along(t: float) -> float:
-                    cand = stack.copy()
-                    cand[r, y1] = max(cand[r, y1] + t, 0.0)
-                    cand[r, y2] = max(cand[r, y2] - t, 0.0)
-                    return self.stack_value(cells, cand)
+        def f(cand: np.ndarray) -> float:
+            return self.stack_value(cells, cand)
 
-                t_best, f_best = golden_section_minimize(along, lo, hi, line_tol)
-                if f_best < cur - 1e-15:
-                    stack[r, y1] = max(stack[r, y1] + t_best, 0.0)
-                    stack[r, y2] = max(stack[r, y2] - t_best, 0.0)
-                    gain += cur - f_best
-                    cur = f_best
-            if gain < _REFINE_TOL:
-                break
-        return cur, stack
+        return _descend(f, stack, f(stack), dirs, sweeps, line_tol, eps=1e-15)
+
+
+def _descend(f, x, cur, dirs, sweeps, line_tol, *, eps, radius=math.inf, rel_tol=0.0, commit=None):
+    """Coordinate descent of ``f`` from ``x`` (where f equals ``cur``) along ``dirs``.
+
+    Each direction d is searched over the steps t in [lo, hi] that keep
+    x + t*d nonnegative and |t| <= ``radius``, by golden section to the
+    tolerance max(line_tol, (hi - lo) * rel_tol); a range no wider than
+    ``eps`` is skipped.  A nonzero step that
+    gains more than ``eps`` moves x to max(x + t*d, 0); ``commit(x)``,
+    when given, then re-evaluates the new point, and its value counts
+    only if it is below the current one.  At most ``sweeps`` sweeps run,
+    and a sweep gaining less than ``_REFINE_TOL`` ends the descent.
+    Returns the final value and point.
+    """
+    for _ in range(sweeps):
+        gain = 0.0
+        for d in dirs:
+            lo, hi = -radius, radius
+            for i in np.flatnonzero(d):
+                step = -x.flat[i] / d.flat[i]
+                if d.flat[i] > 0:
+                    lo = max(lo, step)
+                else:
+                    hi = min(hi, step)
+            if hi - lo <= eps:
+                continue
+            t, f_best = golden_section_minimize(
+                lambda s: f(np.maximum(x + s * d, 0.0)), lo, hi, max(line_tol, (hi - lo) * rel_tol)
+            )
+            if f_best < cur - eps and t != 0.0:
+                x = np.maximum(x + t * d, 0.0)
+                new = f_best if commit is None else commit(x)
+                if new < cur:
+                    gain += cur - new
+                    cur = new
+        if gain < _REFINE_TOL:
+            break
+    return cur, x
+
+
+def _as_grid(resolution: int | GridSpec) -> GridSpec:
+    return resolution if isinstance(resolution, GridSpec) else GridSpec(resolution)
 
 
 def pairwise_confusion_exponent(
@@ -649,7 +671,7 @@ def pairwise_confusion_exponent(
     code composition) within 1e-9.  Returns +inf when support analysis
     forces every kernel into a forbidden cell.
     """
-    grid = resolution if isinstance(resolution, GridSpec) else GridSpec(resolution)
+    grid = _as_grid(resolution)
     p = coupling.p
     if p.shape[0] != p.shape[1] or p.shape[0] != channel.input_size:
         raise DistributionError("coupling must be square over the channel input alphabet")
@@ -670,8 +692,8 @@ def pairwise_confusion_exponent(
 
 @dataclass
 class _Pipeline:
-    tables: list[np.ndarray]
     couplings: list[np.ndarray]
+    kernels: list[dict[tuple[int, int], np.ndarray] | None]
     info: np.ndarray
     confusion: np.ndarray
     solver: ConfusionExponentSolver
@@ -693,13 +715,15 @@ def _prepare(query: ExponentQuery, grid: GridSpec) -> _Pipeline:
     )
     solver = ConfusionExponentSolver(query.channel, query.metric, query.rate, grid, ev)
     vals = np.empty(len(tables))
+    kernels = []
     note = ""
     for i, (t, p) in enumerate(zip(tables, couplings)):
         sol = solver.solve(p, t, refine=False)
         vals[i] = sol.value
+        kernels.append(sol.kernels)
         if sol.note and not note:
             note = sol.note
-    return _Pipeline(tables, couplings, info, vals, solver, note)
+    return _Pipeline(couplings, kernels, info, vals, solver, note)
 
 
 def _polish_coupling(
@@ -714,15 +738,18 @@ def _polish_coupling(
     Objective is confusion + information (constrained form, rho None)
     or confusion + rho*(information - rate) (penalized form).  The
     information cap applies only to the constrained form and is
-    enforced by step rejection.  Returns the final coupling and value.
+    enforced by step rejection.  The inner solve starts from the grid
+    kernels ``_prepare`` found for the start coupling and is warm-started
+    from the last accepted step's kernels thereafter.  Returns the final
+    coupling and value.
     """
     solver = pipe.solver
     rate = query.rate
-    p = pipe.couplings[start].copy()
-    full = solver.solve(p, pipe.tables[start], refine=True)
-    warm = full.kernels
+    p = pipe.couplings[start]
+    first = solver.solve(p, None, skip_grid=True, warm=pipe.kernels[start])
+    warm = first.kernels
 
-    def total(conf: float, joint: np.ndarray) -> float:
+    def objective(conf: float, joint: np.ndarray) -> float:
         info = mutual_information_array(joint)
         if rho is None:
             if info > rate + INFO_SLACK:
@@ -730,50 +757,24 @@ def _polish_coupling(
             return conf + info
         return conf + rho * (info - rate)
 
-    cur = total(full.value, p)
-    dirs = move_directions(p.shape[0])
-    radius = 1.5 / grid.resolution
-    for _ in range(2):
-        gain = 0.0
-        for d in dirs:
-            lo, hi = -math.inf, math.inf
-            nz = np.argwhere(d != 0)
-            for i, j in nz:
-                dv = d[i, j]
-                if dv > 0:
-                    lo = max(lo, -p[i, j] / dv)
-                else:
-                    hi = min(hi, p[i, j] / -dv)
-            lo = max(lo, -radius)
-            hi = min(hi, radius)
-            if hi - lo <= 1e-12:
-                continue
+    def probe(joint: np.ndarray) -> float:
+        if not np.any(joint.sum(axis=1) * joint.sum(axis=0)):
+            return math.inf
+        sol = solver.solve(joint, None, skip_grid=True, warm=warm, max_sweeps=2, line_tol=1e-4)
+        return objective(sol.value, joint)
 
-            def along(t: float) -> float:
-                cand = np.maximum(p + t * d, 0.0)
-                if not np.any(cand.sum(axis=1) * cand.sum(axis=0)):
-                    return math.inf
-                sol = solver.solve(
-                    cand, None, skip_grid=True, warm=warm, max_sweeps=2, line_tol=1e-4
-                )
-                return total(sol.value, cand)
+    def commit(joint: np.ndarray) -> float:
+        nonlocal warm
+        sol = solver.solve(joint, None, skip_grid=True, warm=warm, max_sweeps=8, line_tol=1e-6)
+        warm = sol.kernels
+        return objective(sol.value, joint)
 
-            t_best, f_best = golden_section_minimize(along, lo, hi, max(1e-4, (hi - lo) * 1e-3))
-            if f_best < cur - 1e-12 and t_best != 0.0:
-                p = np.maximum(p + t_best * d, 0.0)
-                sol = solver.solve(
-                    p, None, skip_grid=True, warm=warm, max_sweeps=8, line_tol=1e-6
-                )
-                warm = sol.kernels
-                new = total(sol.value, p)
-                if new < cur:
-                    gain += cur - new
-                    cur = new
-        if gain < _REFINE_TOL:
-            break
-    final = solver.solve(p, None, skip_grid=True, warm=warm, max_sweeps=None)
-    cur = min(cur, total(final.value, p))
-    return p, cur
+    cur, p = _descend(
+        probe, p, objective(first.value, p), move_directions(p.shape[0]), 2, 1e-4,
+        eps=1e-12, radius=1.5 / grid.resolution, rel_tol=1e-3, commit=commit,
+    )
+    final = solver.solve(p, None, skip_grid=True, warm=warm)
+    return p, min(cur, objective(final.value, p))
 
 
 def _expurgated_from(pipe: _Pipeline, query: ExponentQuery, grid: GridSpec) -> ExponentResult:
@@ -848,10 +849,6 @@ def _maxmin_from(pipe: _Pipeline, query: ExponentQuery, grid: GridSpec) -> Expon
         "penalized",
         note=pipe.inner_note,
     )
-
-
-def _as_grid(resolution: int | GridSpec) -> GridSpec:
-    return resolution if isinstance(resolution, GridSpec) else GridSpec(resolution)
 
 
 def expurgated_exponent(query: ExponentQuery, resolution: int | GridSpec) -> ExponentResult:
@@ -939,8 +936,7 @@ def exchanged_objective(
     composition: Distribution,
     channel: Channel,
     metric: Metric,
-    score_eval: CompetitorScoreEvaluator | None = None,
-    resolution: int = 16,
+    score_eval: CompetitorScoreEvaluator,
 ) -> float:
     """The exchanged outer objective on a joint over (input, pair, output).
 
@@ -953,7 +949,9 @@ def exchanged_objective(
     Affine metrics make every term convex in q on the fixed-marginal
     set, which is what justifies exchanging the tilting supremum with
     the coupling minimum; the midpoint-convexity property tests probe
-    exactly this expression.  Requires rho >= 0.
+    exactly this expression.  ``score_eval`` supplies the competitor
+    floor at the rate and resolution it was built for.  Requires
+    rho >= 0.
     """
     if rho < 0:
         raise DistributionError(f"rho must be >= 0, got {rho}")
@@ -977,8 +975,6 @@ def exchanged_objective(
     neg_entropy = float(np.sum(np.where(q > 0, q * np.log(np.where(q > 0, q, 1.0)), 0.0)))
     pair = q.sum(axis=2)
     penalty = rho * (mutual_information_array(pair) - rate)
-    if score_eval is None:
-        score_eval = CompetitorScoreEvaluator(metric, rate, l, resolution)
     joint_first = q.sum(axis=1)
     joint_second = q.sum(axis=0)
     g1 = metric.score_array(joint_first)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import Channel, Distribution
-from .metrics import constant_metric, emi_metric, matched_metric
+from .metrics import AffineMetric, constant_metric, emi_metric, matched_metric
 from .optimizer import GridSpec
 from .exponents import (
     CompetitorScoreEvaluator,
@@ -88,8 +88,6 @@ def _check_posterior(workers: int) -> tuple[bool, str]:
     for _ in range(20):
         y = rng.integers(0, 2, size=6)
         cells = rng.standard_normal((2, 2))
-        from .metrics import AffineMetric
-
         p1 = gld_posterior(code, y, AffineMetric(cells))
         p2 = gld_posterior(code, y, AffineMetric(cells + 7.5))
         worst_sum = max(worst_sum, abs(p1.p.sum() - 1.0))
@@ -302,15 +300,14 @@ def run_suite(level: str, workers: int = 1) -> list[CheckResult]:
     return results
 
 
-def format_results(results: list[CheckResult], timings: bool = False) -> str:
-    # Timings are off by default so the rendered table is a pure
-    # function of the seeds; the CLI reports them on stderr instead.
+def format_results(results: list[CheckResult]) -> str:
+    # No timings, so the rendered table is a pure function of the
+    # seeds; the CLI reports them on stderr instead.
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
         status = "PASS" if r.ok else "FAIL"
-        clock = f"{r.seconds:7.2f}s  " if timings else ""
-        lines.append(f"{r.name:<{width}}  {status}  {clock}{r.detail}")
+        lines.append(f"{r.name:<{width}}  {status}  {r.detail}")
     n_ok = sum(r.ok for r in results)
     lines.append(f"{n_ok}/{len(results)} checks passed")
     return "\n".join(lines)

@@ -190,6 +190,42 @@ class TestSimulateCommand:
         assert report["codewords"] == ["0 1 0 1", "1 0 1 0"]
         assert report["config"]["n"] == 4
 
+    def test_codewords_must_match_composition(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "sim_words_comp.json",
+            {
+                "channel": BSC,
+                "metric": {"kind": "matched"},
+                "composition": [0.25, 0.75],
+                "rate": 0.2,
+                "resolution": 8,
+                "simulation": {
+                    "codewords": [[0, 1, 0, 1], [1, 0, 1, 0]],
+                    "trials": 500,
+                    "seed": 1,
+                },
+            },
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "input error" in out.err
+
+    @pytest.mark.parametrize("words", [[0, 1, 0, 1], [[0, 2], [2, 0]], [[0, -1], [-1, 0]]])
+    def test_codewords_must_be_words_over_the_inputs(self, tmp_path, capsys, words):
+        cfg = write_config(
+            tmp_path,
+            "sim_bad_words.json",
+            {
+                "channel": BSC,
+                "metric": {"kind": "matched"},
+                "simulation": {"codewords": words, "trials": 500, "seed": 1},
+            },
+        )
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "codewords must be equal-length words" in capsys.readouterr().err
+
     def test_mc_mode(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -15,6 +15,7 @@ import pytest
 from gldx import (
     AffineMetric,
     CompetitorScoreEvaluator,
+    ConfusionExponentSolver,
     Distribution,
     DistributionError,
     ExponentQuery,
@@ -33,6 +34,7 @@ from gldx import (
     pairwise_confusion_exponent,
     rate_sweep,
 )
+from gldx.optimizer import enumerate_margin_tables, margin_counts
 
 
 class TestQueryValidation:
@@ -190,6 +192,29 @@ class TestOuterForms:
         res = exponent_form(ExponentQuery(0.2, unif2, bsc, m), 8)
         assert res.expurgated_value == pytest.approx(0.03589828949336804, abs=1e-12)
         assert res.maxmin_value == pytest.approx(0.03589828949336804, abs=1e-12)
+
+    def test_wide_refined_pinned(self, wide, unif2):
+        # Three outputs give the refinement three directions per kernel row.
+        res = exponent_form(ExponentQuery(0.1, unif2, wide, matched_metric(wide, beta=1.0)), 4)
+        assert res.expurgated_value == res.maxmin_value == 0.05725996415589854
+        assert res.rho_star == 1.0
+        assert res.argmin.tolist() == [
+            [0.2890570162034178, 0.21094298379658225],
+            [0.21094298379658225, 0.2890570162034178],
+        ]
+
+    def test_each_margin_table_scanned_once(self, bsc, unif2, monkeypatch):
+        scans = []
+        orig = ConfusionExponentSolver._scan
+
+        def counted(self, cells, counts, k_in):
+            scans.append(counts)
+            return orig(self, cells, counts, k_in)
+
+        monkeypatch.setattr(ConfusionExponentSolver, "_scan", counted)
+        exponent_form(ExponentQuery(0.1, unif2, bsc, matched_metric(bsc)), GridSpec(8, refine=True))
+        margins = margin_counts(unif2, 8)
+        assert len(scans) == len(list(enumerate_margin_tables(margins, margins)))
 
     def test_weak_duality_random(self, unif2):
         rng = np.random.default_rng(43)
