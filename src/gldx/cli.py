@@ -26,10 +26,10 @@ from .metrics import MetricError, metric_from_json
 from .optimizer import GridSpec, InfeasibleGridError
 from .exponents import ExponentQuery, exponent_form, rate_sweep
 from .simulator import (
-    _ENUM_BUDGET,
     Codebook,
     SimConfig,
     check_good_code,
+    enumerable,
     exact_error_probability,
     kept_indices,
     markov_bound_check,
@@ -39,6 +39,18 @@ from .simulator import (
 from . import verify as verify_mod
 
 _MARKOV_RHOS = (1.0, 2.0, 5.0)
+# Config fields a command reads that have no flag; fields of nested blocks.
+_SHARED = ("channel", "metric", "composition")
+_CONFIG_ONLY = {
+    "exponent": _SHARED + ("refine",),
+    "sweep": _SHARED + ("refine", "rate_range"),
+    "simulate": _SHARED + ("simulation",),
+}
+_BLOCK_FIELDS = {
+    "simulation": ("n", "M", "trials", "seed", "epsilon", "mode", "codewords"),
+    "rate_range": ("start", "stop", "step"),
+}
+_SIM_FLAGS = ("n", "m", "trials", "seed", "epsilon")
 
 
 def _sanitize(obj):
@@ -89,28 +101,31 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_fields(where: str, keys, read) -> None:
+    unread = sorted(set(keys) - set(read))
+    if unread:
+        raise ConfigError(f"{where} does not read the config field {', '.join(map(repr, unread))}")
+
+
 def _load_config(args) -> dict:
     cfg = _load_json_file(args.config) if args.config else {}
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    for field in ("rate", "resolution", "workers", "output", "format", "rho_max"):
-        # A command lacks the flag of every field it never reads.
-        if not hasattr(args, field) and field in cfg:
-            raise ConfigError(f"{args.command} does not read the config field {field!r}")
-        v = getattr(args, field, None)
-        if v is not None:
-            cfg[field] = v
+    # A command has a flag for each top-level field it reads, bar its
+    # config-only fields; the simulation flags override block fields.
+    flags = [f for f in vars(args) if f not in ("command", "config") + _SIM_FLAGS]
+    _check_fields(args.command, cfg, flags + list(_CONFIG_ONLY[args.command]))
+    for block, fields in _BLOCK_FIELDS.items():
+        if isinstance(cfg.get(block), dict):
+            _check_fields(f"{args.command} {block}", cfg[block], fields)
+    for field in flags:
+        if getattr(args, field) is not None:
+            cfg[field] = getattr(args, field)
     sim_over = {
-        k: getattr(args, k)
-        for k in ("n", "m", "trials", "seed", "epsilon")
-        if getattr(args, k, None) is not None
+        "M" if k == "m" else k: getattr(args, k) for k in _SIM_FLAGS if getattr(args, k, None) is not None
     }
     if sim_over:
-        sim = dict(cfg.get("simulation") or {})
-        if "m" in sim_over:
-            sim_over["M"] = sim_over.pop("m")
-        sim.update(sim_over)
-        cfg["simulation"] = sim
+        cfg["simulation"] = dict(cfg.get("simulation") or {}, **sim_over)
     return cfg
 
 
@@ -162,7 +177,7 @@ def cmd_exponent(cfg: dict) -> int:
     start = time.perf_counter()
     result = exponent_form(query, _grid_from_config(cfg))
     elapsed = 1000.0 * (time.perf_counter() - start)
-    _emit(_json_text(result.to_json(runtime_ms=None)), cfg.get("output"))
+    _emit(_json_text(result.to_json()), cfg.get("output"))
     print(f"exponent computed in {elapsed:.1f} ms", file=sys.stderr)
     return 0
 
@@ -201,9 +216,7 @@ def cmd_sweep(cfg: dict) -> int:
     elapsed = 1000.0 * (time.perf_counter() - start)
     fmt = cfg.get("format", "csv")
     if fmt == "json":
-        payload = [
-            dict(res.to_json(runtime_ms=None), rate=rate) for rate, res in zip(rates, results)
-        ]
+        payload = [dict(res.to_json(), rate=rate) for rate, res in zip(rates, results)]
         _emit(_json_text(payload), cfg.get("output"))
     elif fmt == "csv":
         lines = ["rate,exponent,maxmin,gap,rho_star,boundary_flag,infinite"]
@@ -274,7 +287,7 @@ def cmd_simulate(cfg: dict) -> int:
     else:
         code = Codebook(words, comp)
     mode = sim.get("mode", "auto")
-    feasible = channel.output_size**code.blocklength <= _ENUM_BUDGET
+    feasible = enumerable(channel.output_size, code.blocklength)
     if mode == "auto":
         mode = "exact" if feasible else "mc"
     if mode == "exact" and not feasible:

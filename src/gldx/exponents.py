@@ -50,8 +50,10 @@ from .optimizer import (
     GridSpec,
     InfeasibleGridError,
     concave_search_rho,
+    digits,
     enumerate_margin_tables,
     golden_section_minimize,
+    largest_resolution,
     margin_counts,
     move_directions,
     ordered_chunk_map,
@@ -115,7 +117,7 @@ class ExponentResult:
     maxmin_value: float | None = None
     note: str = ""
 
-    def to_json(self, runtime_ms: float | None = None) -> dict:
+    def to_json(self) -> dict:
         return {
             "value": self.value,
             "rho_star": self.rho_star,
@@ -123,7 +125,6 @@ class ExponentResult:
             "gap": self.gap,
             "argmin": None if self.argmin is None else [[float(v) for v in r] for r in self.argmin],
             "resolution": self.resolution,
-            "runtime_ms": runtime_ms,
             "form": self.form,
             "expurgated": self.expurgated_value,
             "maxmin": self.maxmin_value,
@@ -187,11 +188,7 @@ class CompetitorScoreEvaluator:
             self._base = float(cells.flat[0]) + self.rate
             return
         self.mode = "scan"
-        k = 1
-        for cand in range(2, resolution + 1):
-            if math.comb(cand + self.kx - 1, self.kx - 1) ** y_size > _FLOOR_BUDGET:
-                break
-            k = cand
+        k = largest_resolution(resolution, self.kx, y_size, _FLOOR_BUDGET)
         opts_counts = compositions(k, self.kx)
         opts = opts_counts.astype(np.float64) / k
         n_opt = opts.shape[0]
@@ -201,16 +198,12 @@ class CompetitorScoreEvaluator:
         cfin = np.where(neg, 0.0, cells)
         sfin = opts @ cfin  # (n_opt, y_size)
         sbad = (opts > 0).astype(np.float64) @ neg.astype(np.float64) > 0
-        n_kern = n_opt**y_size
-        idx = np.arange(n_kern, dtype=np.int64)
-        digits = np.empty((n_kern, y_size), dtype=np.int64)
-        for y in range(y_size):
-            digits[:, y] = (idx // n_opt ** (y_size - 1 - y)) % n_opt
-        self._row_entropy = row_h[digits]  # (n_kern, y_size)
-        self._kernel_rows = opts[digits]  # (n_kern, y_size, kx)
+        kern = digits(np.arange(n_opt**y_size), n_opt, y_size)  # option per output
+        self._row_entropy = row_h[kern]  # (n_kern, y_size)
+        self._kernel_rows = opts[kern]  # (n_kern, y_size, kx)
         ycols = np.arange(y_size)
-        self._score_fin = sfin[digits, ycols]  # (n_kern, y_size)
-        self._score_bad = sbad[digits, ycols].astype(np.float64)
+        self._score_fin = sfin[kern, ycols]  # (n_kern, y_size)
+        self._score_bad = sbad[kern, ycols].astype(np.float64)
 
     def value(self, q_y: np.ndarray) -> float:
         """Value at one output composition, memoized."""
@@ -408,12 +401,7 @@ class ConfusionExponentSolver:
 
     def inner_resolution(self, n_cells: int) -> int:
         """Largest denominator whose full scan fits the budget."""
-        k = 1
-        for cand in range(2, self.grid.resolution + 1):
-            if math.comb(cand + self.l - 1, self.l - 1) ** n_cells > _INNER_BUDGET:
-                break
-            k = cand
-        return k
+        return largest_resolution(self.grid.resolution, self.l, n_cells, _INNER_BUDGET)
 
     # -- exhaustive scan -------------------------------------------------
 
@@ -463,7 +451,7 @@ class ConfusionExponentSolver:
             warm = warm or {}
             stack = np.array([warm.get((x, xp), self.W[x]) for x, xp, _ in cells])
         else:
-            value, digits = self._scan(cells, counts, k_in)
+            value, picks = self._scan(cells, counts, k_in)
             if not math.isfinite(value):
                 # Support analysis: every kernel combination is forbidden, so
                 # the continuous infimum is +inf as well (grid vertices cover
@@ -471,7 +459,7 @@ class ConfusionExponentSolver:
                 return InnerSolution(
                     math.inf, None, k_in, "support-forced +inf: no kernel avoids a forbidden cell"
                 )
-            stack = self._tables(k_in)[1][digits]
+            stack = self._tables(k_in)[1][picks]
         if skip_grid or do_refine:
             value, stack = self._refine_stack(cells, stack, max_sweeps, line_tol)
         return InnerSolution(value, self._stack_dict(cells, stack), k_in, note)
@@ -497,12 +485,10 @@ class ConfusionExponentSolver:
                 [int(round(counts[cells[r][0], cells[r][1]])) for r in range(s)], dtype=np.int64
             )
             den = int(self.grid.resolution) * k_in
-        place = [n_opt ** (s - 1 - r) for r in range(s)]
 
         def chunk(start: int, stop: int) -> tuple[float, int]:
-            idx = np.arange(start, stop, dtype=np.int64)
-            c = idx.size
-            digs = [(idx // place[r]) % n_opt for r in range(s)]
+            c = stop - start
+            digs = digits(np.arange(start, stop), n_opt, s).T
             dsum = np.zeros(c)
             for r in range(s):
                 dsum += dvec[r][digs[r]]
@@ -547,8 +533,7 @@ class ConfusionExponentSolver:
                 best_v, best_i = v, i
         if best_i < 0 or not math.isfinite(best_v):
             return math.inf, np.zeros(s, dtype=np.int64)
-        digits = np.array([(best_i // place[r]) % n_opt for r in range(s)], dtype=np.int64)
-        return best_v, digits
+        return best_v, digits(best_i, n_opt, s)
 
     # -- refinement -------------------------------------------------------
 
@@ -778,6 +763,7 @@ def _polish_coupling(
 
 
 def _expurgated_from(pipe: _Pipeline, query: ExponentQuery, grid: GridSpec) -> ExponentResult:
+    """The constrained-form result, with ``expurgated_value`` set to its value."""
     rate = query.rate
     feas = pipe.info <= rate + INFO_SLACK
     if not np.any(feas):
@@ -791,63 +777,36 @@ def _expurgated_from(pipe: _Pipeline, query: ExponentQuery, grid: GridSpec) -> E
     argmin = pipe.couplings[i_star]
     note = pipe.inner_note
     if not math.isfinite(value):
-        return ExponentResult(
-            math.inf,
-            argmin,
-            None,
-            False,
-            None,
-            grid.resolution,
-            "constrained",
-            note="support-forced +inf: every feasible coupling hits a forbidden cell",
-        )
-    if grid.refine:
+        value = math.inf
+        note = "support-forced +inf: every feasible coupling hits a forbidden cell"
+    elif grid.refine:
         p, polished = _polish_coupling(pipe, query, grid, i_star, rho=None)
         if polished - rate < value:
-            value = polished - rate
-            argmin = p
+            value, argmin = polished - rate, p
     return ExponentResult(
-        value, argmin, None, False, None, grid.resolution, "constrained", note=note
+        value=value, argmin=argmin, rho_star=None, boundary_flag=False, gap=None,
+        resolution=grid.resolution, form="constrained", expurgated_value=value, note=note,
     )
 
 
 def _maxmin_from(pipe: _Pipeline, query: ExponentQuery, grid: GridSpec) -> ExponentResult:
-    rate = query.rate
-    conf = pipe.confusion
-    info = pipe.info
-    if not np.any(np.isfinite(conf)):
-        return ExponentResult(
-            math.inf,
-            None,
-            None,
-            False,
-            None,
-            grid.resolution,
-            "penalized",
-            note="support-forced +inf: every coupling hits a forbidden cell",
+    """The penalized-form result, with ``maxmin_value`` set to its value."""
+    rate, conf, info = query.rate, pipe.confusion, pipe.info
+    value, argmin, rho_star, boundary = math.inf, None, None, False
+    note = "support-forced +inf: every coupling hits a forbidden cell"
+    if np.any(np.isfinite(conf)):
+        rho_star, value, boundary = concave_search_rho(
+            lambda rho: float(np.min(conf + rho * (info - rate))), 1.0, query.rho_max, 1e-9
         )
-
-    def inner(rho: float) -> float:
-        return float(np.min(conf + rho * (info - rate)))
-
-    rho_star, value, boundary = concave_search_rho(inner, 1.0, query.rho_max, 1e-9)
-    scores = conf + rho_star * (info - rate)
-    i_star = int(np.argmin(scores))
-    argmin = pipe.couplings[i_star]
-    if grid.refine and math.isfinite(value):
-        p, polished = _polish_coupling(pipe, query, grid, i_star, rho=rho_star)
-        if polished < value:
-            value = polished
-            argmin = p
+        i_star = int(np.argmin(conf + rho_star * (info - rate)))
+        argmin, note = pipe.couplings[i_star], pipe.inner_note
+        if grid.refine and math.isfinite(value):
+            p, polished = _polish_coupling(pipe, query, grid, i_star, rho=rho_star)
+            if polished < value:
+                value, argmin = polished, p
     return ExponentResult(
-        value,
-        argmin,
-        rho_star,
-        boundary,
-        None,
-        grid.resolution,
-        "penalized",
-        note=pipe.inner_note,
+        value=value, argmin=argmin, rho_star=rho_star, boundary_flag=boundary, gap=None,
+        resolution=grid.resolution, form="penalized", maxmin_value=value, note=note,
     )
 
 
@@ -857,13 +816,10 @@ def expurgated_exponent(query: ExponentQuery, resolution: int | GridSpec) -> Exp
     Minimizes confusion + information - rate over couplings whose
     mutual information stays at or below the rate, both marginals
     pinned to the composition.  The reported value never falls below
-    -rate.
+    -rate; the result has no penalized-form fields.
     """
     grid = _as_grid(resolution)
-    pipe = _prepare(query, grid)
-    res = _expurgated_from(pipe, query, grid)
-    res.expurgated_value = res.value
-    return res
+    return _expurgated_from(_prepare(query, grid), query, grid)
 
 
 def maxmin_exponent(query: ExponentQuery, resolution: int | GridSpec) -> ExponentResult:
@@ -873,13 +829,11 @@ def maxmin_exponent(query: ExponentQuery, resolution: int | GridSpec) -> Exponen
     rho*(information - rate) over all couplings with pinned marginals;
     the concave search over rho returns the best tilting.
     ``boundary_flag`` warns that the supremum sat against rho_max,
-    meaning the true supremum may be at even larger tilting.
+    meaning the true supremum may be at even larger tilting.  The
+    result has no constrained-form fields.
     """
     grid = _as_grid(resolution)
-    pipe = _prepare(query, grid)
-    res = _maxmin_from(pipe, query, grid)
-    res.maxmin_value = res.value
-    return res
+    return _maxmin_from(_prepare(query, grid), query, grid)
 
 
 def exponent_form(query: ExponentQuery, resolution: int | GridSpec) -> ExponentResult:
@@ -889,28 +843,19 @@ def exponent_form(query: ExponentQuery, resolution: int | GridSpec) -> ExponentR
     supremum with the coupling minimum, so the constrained form is the
     exponent and the gap (constrained minus penalized) is a diagnostic
     near zero.  For other metrics the penalized form is the honest
-    lower bound and is returned, with the gap still recorded.
+    lower bound and is returned, with the gap, the tilting search and
+    both values filled in; the two forms share one grid scan.
     """
     grid = _as_grid(resolution)
     pipe = _prepare(query, grid)
     exp_res = _expurgated_from(pipe, query, grid)
     max_res = _maxmin_from(pipe, query, grid)
-    if math.isinf(exp_res.value) and math.isinf(max_res.value):
-        gap = None
-    else:
-        gap = exp_res.value - max_res.value
-    primary = exp_res if query.metric.is_affine else max_res
-    return ExponentResult(
-        value=primary.value,
-        argmin=primary.argmin,
-        rho_star=max_res.rho_star,
-        boundary_flag=max_res.boundary_flag,
-        gap=gap,
-        resolution=grid.resolution,
-        form=primary.form,
-        expurgated_value=exp_res.value,
-        maxmin_value=max_res.value,
-        note=primary.note,
+    both_inf = math.isinf(exp_res.value) and math.isinf(max_res.value)
+    return dataclasses.replace(
+        exp_res if query.metric.is_affine else max_res,
+        rho_star=max_res.rho_star, boundary_flag=max_res.boundary_flag,
+        gap=None if both_inf else exp_res.value - max_res.value,
+        expurgated_value=exp_res.value, maxmin_value=max_res.value,
     )
 
 
@@ -972,7 +917,7 @@ def exchanged_objective(
                 if w[x, y] <= 0 or comp[x] <= 0 or comp[xp] <= 0:
                     return math.inf
                 lin -= v * math.log(w[x, y] * comp[x] * comp[xp])
-    neg_entropy = float(np.sum(np.where(q > 0, q * np.log(np.where(q > 0, q, 1.0)), 0.0)))
+    neg_entropy = -float(entropy_rows(q.reshape(-1)))
     pair = q.sum(axis=2)
     penalty = rho * (mutual_information_array(pair) - rate)
     joint_first = q.sum(axis=1)

@@ -2,8 +2,9 @@
 
 Four pieces live here:
 
-* exact integer margins at a resolution, and the contingency tables
-  with those margins, which are the outer grid of couplings;
+* the grid rules: integral counts, mixed-radix digits, the largest
+  resolution within a budget, and the contingency tables with given
+  margins, which are the outer grid of couplings;
 * the 2x2 swap directions that move a coupling without changing its
   margins, used by the continuous polish of the outer objective;
 * 1-D golden-section search, including the concave search over the
@@ -26,7 +27,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .measures import Distribution, DistributionError
+from .measures import Distribution, DistributionError, compositions
 
 #: Slack applied to the information constraint at grid points.
 INFO_SLACK = 1e-9
@@ -71,22 +72,30 @@ class GridSpec:
             raise DistributionError("workers must be >= 1")
 
 
+def integral_counts(p: np.ndarray, k: int) -> np.ndarray | None:
+    """k*p as exact integers, or None when some entry is not within 1e-9 of one."""
+    target = np.asarray(p, dtype=np.float64) * k
+    counts = np.rint(target)
+    if np.max(np.abs(target - counts)) > 1e-9:
+        return None
+    return counts.astype(np.int64)
+
+
 def margin_counts(margin: Distribution, k: int) -> np.ndarray:
     """k times the margin as exact integers; reject non-grid margins.
 
     The error carries the nearest representable composition (largest
     remainder rounding) so callers can retry with a valid composition.
     """
-    target = margin.p * k
-    counts = np.rint(target)
-    if np.max(np.abs(target - counts)) > 1e-9:
+    counts = integral_counts(margin.p, k)
+    if counts is None:
         near = nearest_grid_composition(margin.p, k)
         raise InfeasibleGridError(
             f"margin times resolution {k} is not integral; "
             f"nearest representable counts: {near.tolist()}",
             suggestion=near,
         )
-    return counts.astype(np.int64)
+    return counts
 
 
 def nearest_grid_composition(margin: np.ndarray, k: int) -> np.ndarray:
@@ -100,36 +109,42 @@ def nearest_grid_composition(margin: np.ndarray, k: int) -> np.ndarray:
     return base
 
 
-def _bounded_compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # Lexicographically ascending compositions of `total` with per-part caps.
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    tail_room = sum(caps[1:])
-    for first in range(min(total, caps[0]) + 1):
-        if total - first <= tail_room:
-            for rest in _bounded_compositions(total - first, caps[1:]):
-                yield (first,) + rest
+def largest_resolution(limit: int, parts: int, power: int, budget: int) -> int:
+    """Largest k in [2, limit] with C(k + parts - 1, parts - 1)**power <= budget, else 1."""
+    k = 1
+    for cand in range(2, limit + 1):
+        if math.comb(cand + parts - 1, parts - 1) ** power > budget:
+            break
+        k = cand
+    return k
+
+
+def digits(idx, base: int, width: int) -> np.ndarray:
+    """The ``width`` base-``base`` digits of ``idx``, most significant first, on a new last axis."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.empty(idx.shape + (width,), dtype=np.int64)
+    for t in range(width):
+        out[..., t] = (idx // base ** (width - 1 - t)) % base
+    return out
 
 
 def enumerate_margin_tables(row_counts: np.ndarray, col_counts: np.ndarray) -> Iterator[np.ndarray]:
     """Integer contingency tables with the given margins, in lex order.
 
-    Lex order means the first row varies slowest and rows themselves are
-    produced lexicographically; the final row is forced by the column
-    margins.
+    Lex order means the first row varies slowest; each row runs through
+    the compositions of its margin that fit under the column margins
+    left, and the final row is what they leave.
     """
     r = len(row_counts)
     col0 = np.asarray(col_counts, dtype=np.int64)
 
-    def rec(i: int, rows: list[tuple[int, ...]], col_left: np.ndarray) -> Iterator[np.ndarray]:
+    def rec(i: int, rows: list[np.ndarray], col_left: np.ndarray) -> Iterator[np.ndarray]:
         if i == r - 1:
-            if np.all(col_left >= 0) and col_left.sum() == row_counts[i]:
-                yield np.array(rows + [tuple(int(c) for c in col_left)], dtype=np.int64)
+            yield np.array(rows + [col_left], dtype=np.int64)
             return
-        for comp in _bounded_compositions(int(row_counts[i]), tuple(int(c) for c in col_left)):
-            yield from rec(i + 1, rows + [comp], col_left - np.array(comp, dtype=np.int64))
+        comps = compositions(int(row_counts[i]), len(col_left))
+        for comp in comps[np.all(comps <= col_left, axis=1)]:
+            yield from rec(i + 1, rows + [comp], col_left - comp)
 
     if int(row_counts.sum()) != int(col0.sum()):
         return iter(())

@@ -24,7 +24,7 @@ import numpy as np
 from .measures import Channel, Distribution, DistributionError, mutual_information_stack
 from .metrics import Metric
 from .exponents import CompetitorScoreEvaluator
-from .optimizer import ordered_chunk_map
+from .optimizer import digits, integral_counts, ordered_chunk_map
 
 log = logging.getLogger(__name__)
 
@@ -48,11 +48,9 @@ class Codebook:
         if w.min() < 0 or w.max() >= kx:
             raise DistributionError("codeword symbol outside the composition alphabet")
         n = w.shape[1]
-        target = self.composition.p * n
-        counts = np.rint(target)
-        if np.max(np.abs(target - counts)) > 1e-9:
+        counts = integral_counts(self.composition.p, n)
+        if counts is None:
             raise DistributionError(f"composition is not integral at blocklength {n}")
-        counts = counts.astype(np.int64)
         for i, word in enumerate(w):
             if not np.array_equal(np.bincount(word, minlength=kx), counts):
                 raise DistributionError(f"word {i} does not have the code composition")
@@ -130,10 +128,8 @@ def nearest_valid_blocklength(q_x: Distribution, n: int) -> int | None:
     """Closest blocklength to n at which n times the composition is integral."""
     for delta in range(0, _BLOCKLENGTH_SPAN + 1):
         for cand in ((n - delta, n + delta) if delta else (n,)):
-            if cand >= 1:
-                target = q_x.p * cand
-                if np.max(np.abs(target - np.rint(target))) <= 1e-9:
-                    return cand
+            if cand >= 1 and integral_counts(q_x.p, cand) is not None:
+                return cand
     return None
 
 
@@ -146,13 +142,12 @@ def sample_code(q_x: Distribution, n: int, M: int, rng: np.random.Generator) -> 
     """
     if n < 1 or M < 1:
         raise DistributionError("need n >= 1 and M >= 1")
-    target = q_x.p * n
-    counts = np.rint(target)
-    if np.max(np.abs(target - counts)) > 1e-9:
+    counts = integral_counts(q_x.p, n)
+    if counts is None:
         near = nearest_valid_blocklength(q_x, n)
         hint = f"; nearest valid blocklength is {near}" if near is not None else ""
         raise DistributionError(f"composition is not integral at blocklength {n}{hint}")
-    multiset = np.repeat(np.arange(q_x.size), counts.astype(np.int64))
+    multiset = np.repeat(np.arange(q_x.size), counts)
     words = np.stack([rng.permutation(multiset) for _ in range(M)])
     return Codebook(words, q_x)
 
@@ -203,12 +198,9 @@ def gld_decode(codebook: Codebook, y, metric: Metric, rng: np.random.Generator) 
 # Error probability.
 
 
-def _output_blocks(l: int, n: int, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((idx.size, n), dtype=np.int64)
-    for t in range(n):
-        out[:, t] = (idx // l ** (n - 1 - t)) % l
-    return out
+def enumerable(l: int, n: int, budget: int = _ENUM_BUDGET) -> bool:
+    """Whether all l**n output blocks of length n fit the enumeration budget."""
+    return l**n <= budget
 
 
 def _block_scores(words: np.ndarray, ys: np.ndarray, metric: Metric) -> np.ndarray:
@@ -255,8 +247,7 @@ def exact_error_probability(
     """
     n = codebook.blocklength
     l = channel.output_size
-    total_outputs = l**n
-    if total_outputs > budget:
+    if not enumerable(l, n, budget):
         raise DistributionError(
             f"output space {l}^{n} exceeds the enumeration budget {budget}; "
             "use monte_carlo_error instead"
@@ -269,7 +260,7 @@ def exact_error_probability(
         logw = np.where(channel.matrix > 0, np.log(np.where(channel.matrix > 0, channel.matrix, 1.0)), -math.inf)
 
     def chunk(start: int, stop: int) -> list[float]:
-        ys = _output_blocks(l, n, start, stop)
+        ys = digits(np.arange(start, stop), l, n)
         post = _softmax_rows(_block_scores(codebook.words, ys, metric))
         return [
             float(np.dot(np.exp(logw[codebook.words[i][None, :], ys].sum(axis=1)), 1.0 - post[:, i]))
@@ -277,7 +268,7 @@ def exact_error_probability(
         ]
 
     # No messages, no pass: zero outputs give zero chunks and an empty list.
-    parts = ordered_chunk_map(chunk, total_outputs if msgs else 0, 1 << 14, workers)
+    parts = ordered_chunk_map(chunk, l**n if msgs else 0, 1 << 14, workers)
     probs = [min(max(math.fsum(col), 0.0), 1.0) for col in zip(*parts)]
     return probs[0] if np.ndim(m) == 0 else probs
 
@@ -366,8 +357,7 @@ def check_good_code(
     if epsilon < 0 or epsilon > r:
         raise DistributionError(f"epsilon must lie in [0, rate]; got {epsilon} vs rate {r:g}")
     evaluator = CompetitorScoreEvaluator(metric, r - epsilon, l, floor_resolution)
-    total_outputs = l**n
-    exhaustive = total_outputs <= budget
+    exhaustive = enumerable(l, n, budget)
 
     def scan(ys: np.ndarray) -> tuple[float, tuple[int, tuple[int, ...]]]:
         scores = _block_scores(codebook.words, ys, metric)  # (C, M)
@@ -387,13 +377,11 @@ def check_good_code(
         return float(margin[yi, mi]), (int(mi), tuple(int(v) for v in ys[yi]))
 
     if exhaustive:
-        checked = total_outputs
-        parts = ordered_chunk_map(
-            lambda s, e: scan(_output_blocks(l, n, s, e)), total_outputs, 1 << 14, workers
-        )
+        checked = l**n
+        parts = ordered_chunk_map(lambda s, e: scan(digits(np.arange(s, e), l, n)), checked, 1 << 14, workers)
     else:
         gen = rng if rng is not None else np.random.default_rng(0)
-        checked = min(samples, total_outputs)
+        checked = min(samples, l**n)
         parts = [scan(gen.integers(0, l, size=(checked, n), dtype=np.int64))]
     worst, witness = math.inf, (0, (0,) * n)
     for margin, where in parts:

@@ -33,7 +33,7 @@ class TestExponentCommand:
         out = capsys.readouterr()
         payload = json.loads(out.out)
         assert payload["form"] == "constrained"
-        assert payload["runtime_ms"] is None
+        assert "runtime_ms" not in payload
         assert payload["resolution"] == 8
         assert isinstance(payload["expurgated"], float)
         assert isinstance(payload["maxmin"], float)
@@ -338,6 +338,27 @@ class TestExitCodes:
             },
         )
         assert main(["simulate", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert "input error" in out.err and f"'{field}'" in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize(
+        "command, extra, field",
+        [
+            ("simulate", {"refine": False}, "refine"),
+            ("simulate", {"rate_range": {"start": 0.1, "stop": 0.2}}, "rate_range"),
+            ("simulate", {"simulation": {"n": 4, "M": 2, "trials": 100, "seed": 1, "mdoe": "mc"}}, "mdoe"),
+            ("exponent", {"resoluton": 4}, "resoluton"),
+            ("exponent", {"simulation": {"n": 4, "M": 2, "trials": 100, "seed": 1}}, "simulation"),
+            ("sweep", {"rate_range": {"start": 0.1, "stop": 0.2, "stpe": 0.05}}, "stpe"),
+        ],
+    )
+    def test_rejects_unread_config_field(self, tmp_path, capsys, command, extra, field):
+        payload = {"channel": BSC, "metric": {"kind": "matched"}, "rate": 0.2, "resolution": 8}
+        if command == "simulate":
+            payload["simulation"] = {"n": 4, "M": 2, "trials": 100, "seed": 1}
+        cfg = write_config(tmp_path, "unread.json", dict(payload, **extra))
+        assert main([command, "--config", cfg]) == 2
         out = capsys.readouterr()
         assert "input error" in out.err and f"'{field}'" in out.err
         assert out.out == ""

@@ -26,6 +26,7 @@ from gldx import (
     compositions,
     constant_metric,
     emi_metric,
+    exchanged_objective,
     exponent_form,
     expurgated_exponent,
     matched_metric,
@@ -341,3 +342,17 @@ class TestDeterminism:
         assert a.maxmin_value == b.maxmin_value
         assert a.rho_star == b.rho_star
         assert np.array_equal(a.argmin, b.argmin)
+
+
+class TestExchangedObjective:
+    # Pinned before its negative entropy moved onto entropy_rows; both
+    # triples have input-side marginals (1/2, 1/2) and zero cells.
+    def test_pinned(self, bsc, wide, unif2):
+        t_bsc = np.array([[[0.30, 0.05], [0.10, 0.05]], [[0.0, 0.15], [0.05, 0.30]]])
+        t_wide = np.array(
+            [[[0.20, 0.05, 0.0], [0.10, 0.05, 0.10]], [[0.10, 0.05, 0.10], [0.05, 0.0, 0.20]]]
+        )
+        for chan, triple, want in ((bsc, t_bsc, 0.5475377659420246), (wide, t_wide, 0.1601184216921031)):
+            metric = matched_metric(chan)
+            ev = CompetitorScoreEvaluator(metric, 0.1, chan.output_size, 8)
+            assert exchanged_objective(triple, 1.5, 0.1, unif2, chan, metric, ev) == want

@@ -8,12 +8,16 @@ import pytest
 from gldx import Distribution, InfeasibleGridError, golden_section_minimize
 from gldx.optimizer import (
     concave_search_rho,
+    digits,
     enumerate_margin_tables,
+    integral_counts,
+    largest_resolution,
     margin_counts,
     move_directions,
     nearest_grid_composition,
     ordered_chunk_map,
 )
+from gldx.oracles import _naive_tables
 
 
 class TestMarginCounts:
@@ -34,6 +38,48 @@ class TestMarginCounts:
             c = nearest_grid_composition(p, 11)
             assert c.sum() == 11
             assert np.all(c >= 0)
+
+
+class TestGridRules:
+    @pytest.mark.parametrize("base, width", [(2, 1), (2, 10), (3, 4), (7, 3), (15, 2)])
+    def test_digits_match_unravel_index(self, base, width):
+        idx = np.arange(base**width)
+        want = np.stack(np.unravel_index(idx, (base,) * width), axis=-1)
+        assert np.array_equal(digits(idx, base, width), want)
+        assert np.array_equal(digits(idx[5:], base, width), want[5:])
+        assert np.array_equal(digits(int(idx[-1]), base, width), want[-1])
+
+    @pytest.mark.parametrize(
+        "limit, parts, power, budget",
+        [
+            (16, 2, 4, 300_000),
+            (16, 3, 2, 300_000),
+            (16, 3, 4, 2_000_000),
+            (64, 2, 2, 4),
+            (16, 2, 1, 1),
+            (1, 2, 2, 10**9),
+        ],
+    )
+    def test_largest_resolution_matches_scan(self, limit, parts, power, budget):
+        fits = [k for k in range(2, limit + 1) if math.comb(k + parts - 1, parts - 1) ** power <= budget]
+        assert largest_resolution(limit, parts, power, budget) == max(fits, default=1)
+
+    def test_integral_counts_tolerance_edge(self):
+        k = 4
+        exact = integral_counts(np.array([0.25, 0.75]), k)
+        assert exact.dtype == np.int64 and exact.tolist() == [1, 3]
+        for off, within in ((0.9e-9, True), (1.1e-9, False)):
+            got = integral_counts(np.array([0.25 + off / k, 0.75 - off / k]), k)
+            assert (got is not None) == within
+            if within:
+                assert got.tolist() == [1, 3]
+
+    @pytest.mark.parametrize("margin", [(2, 3, 1), (3, 3, 2)])
+    def test_margin_tables_match_brute_force(self, margin):
+        want = [np.array(t) for t in _naive_tables(list(margin))]
+        got = list(enumerate_margin_tables(np.array(margin), np.array(margin)))
+        assert len(got) == len(want) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestMarginTables:

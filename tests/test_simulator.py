@@ -192,7 +192,7 @@ class TestExactError:
         def no_enumeration(*_):
             raise AssertionError("outputs enumerated")
 
-        monkeypatch.setattr("gldx.simulator._output_blocks", no_enumeration)
+        monkeypatch.setattr("gldx.simulator.digits", no_enumeration)
         for msgs in (0, [0, 1], []):
             with pytest.raises(DistributionError, match="monte_carlo_error"):
                 exact_error_probability(code, msgs, bsc, matched_metric(bsc), budget=32)
