@@ -157,11 +157,31 @@ def _composition_from_config(cfg: dict, channel: Channel) -> Distribution:
     return q
 
 
+def _typed_field(cfg: dict, field: str, default, kind: type):
+    """``cfg[field]``, or ``default`` when absent, checked against ``kind``.
+
+    ``bool`` accepts only a JSON boolean.  ``int`` accepts an integer
+    or an integral float such as 16.0, and rejects booleans and
+    fractional numbers, which ``int()`` would silently truncate.
+    """
+    v = cfg.get(field, default)
+    if kind is bool:
+        ok = isinstance(v, bool)
+    else:
+        ok = not isinstance(v, bool) and (
+            isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+        )
+    if not ok:
+        what = "a boolean" if kind is bool else "an integer"
+        raise ConfigError(f"config field {field!r} must be {what}, got {v!r}")
+    return kind(v)
+
+
 def _grid_from_config(cfg: dict) -> GridSpec:
     return GridSpec(
-        resolution=int(cfg.get("resolution", 16)),
-        refine=bool(cfg.get("refine", True)),
-        workers=int(cfg.get("workers", 1)),
+        resolution=_typed_field(cfg, "resolution", 16, int),
+        refine=_typed_field(cfg, "refine", True, bool),
+        workers=_typed_field(cfg, "workers", 1, int),
     )
 
 
@@ -187,6 +207,8 @@ def _sweep_rates(cfg: dict) -> list[float]:
         if "rate" in cfg:
             return [float(cfg["rate"])]
         raise ConfigError("sweep needs 'rate_range' (or a single 'rate')")
+    if "rate" in cfg:
+        raise ConfigError("sweep takes 'rate_range' or a single 'rate', not both")
     rr = cfg["rate_range"]
     start, stop = float(rr["start"]), float(rr["stop"])
     step = float(rr.get("step", 0.05))
@@ -254,7 +276,8 @@ def cmd_simulate(cfg: dict) -> int:
     channel = _channel_from_config(cfg)
     metric = _metric_from_config(cfg, channel)
     comp = _composition_from_config(cfg, channel)
-    workers = int(cfg.get("workers", 1))
+    workers = _typed_field(cfg, "workers", 1, int)
+    resolution = _typed_field(cfg, "resolution", 16, int)
     sim = cfg.get("simulation")
     if not isinstance(sim, dict):
         raise ConfigError("simulate needs a 'simulation' block in the config")
@@ -314,7 +337,7 @@ def cmd_simulate(cfg: dict) -> int:
         eps,
         metric,
         rate,
-        floor_resolution=int(cfg.get("resolution", 16)),
+        floor_resolution=resolution,
         rng=np.random.default_rng(config.seed + 1),
         workers=workers,
     )
@@ -330,7 +353,7 @@ def cmd_simulate(cfg: dict) -> int:
             "seed": config.seed,
             "epsilon": eps,
             "rate": rate,
-            "resolution": int(cfg.get("resolution", 16)),
+            "resolution": resolution,
             "metric": cfg.get("metric"),
             "channel": channel.matrix.tolist(),
         },

@@ -205,17 +205,22 @@ class CompetitorScoreEvaluator:
         self._score_fin = sfin[kern, ycols]  # (n_kern, y_size)
         self._score_bad = sbad[kern, ycols].astype(np.float64)
 
-    def value(self, q_y: np.ndarray) -> float:
-        """Value at one output composition, memoized."""
+    def value(self, q_y) -> float:
+        """Value at one output composition (an array or a list of floats), memoized."""
         if self._base is not None:
             return self._base
-        q = np.asarray(q_y, dtype=np.float64)
-        key = tuple(np.round(q, 12))
+        q = q_y if isinstance(q_y, list) else np.asarray(q_y, dtype=np.float64).tolist()
+        try:
+            # np.round(q, 12) entry by entry: rint(v * 1e12) / 1e12.
+            key = tuple([round(v * 1e12) / 1e12 for v in q])
+        except (ValueError, OverflowError):
+            key = None  # a nan or inf entry: np.round's key would never hit either
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        out = float(self._scan(q[None, :])[0])
-        self._memo[key] = out
+        out = float(self._scan(np.array(q, dtype=np.float64)[None, :])[0])
+        if key is not None:
+            self._memo[key] = out
         return out
 
     def value_batch(self, rows: np.ndarray) -> np.ndarray:
@@ -340,6 +345,11 @@ class ConfusionExponentSolver:
     exhaustive grid scan over per-cell kernels (chunked, deterministic)
     is followed by coordinate-descent refinement of the best point:
     ``_descend`` moves mass between two outputs of one kernel at a time.
+
+    ``solve`` describes the positive cells once per call as tuples
+    ``(x, xp, weight, channel row x as a list, metric row x, -inf
+    indices of row x, metric row xp, -inf indices of row xp)``; the
+    metric entries are None for a non-affine metric.
     """
 
     def __init__(
@@ -359,13 +369,21 @@ class ConfusionExponentSolver:
         self.l = channel.output_size
         self.kx = channel.input_size
         self._per_res: dict[int, tuple] = {}
+        self._inner_res: dict[int, int] = {}  # cell count -> inner resolution
+        self._dirs: dict[int, list[np.ndarray]] = {}  # cell count -> descent directions
+        self._wrows = self.W.tolist()
         if metric.is_affine:
             cells = metric.cells
             self._mneg = np.isneginf(cells)
             self._mfin = np.where(self._mneg, 0.0, cells)
+            # Per input: finite metric row and the outputs where it is -inf.
+            self._score_rows = [
+                (self._mfin[x], tuple(np.flatnonzero(self._mneg[x]).tolist())) for x in range(self.kx)
+            ]
         else:
             self._mneg = None
             self._mfin = None
+            self._score_rows = [(None, None)] * self.kx
 
     # -- per-resolution tables ------------------------------------------
 
@@ -401,7 +419,20 @@ class ConfusionExponentSolver:
 
     def inner_resolution(self, n_cells: int) -> int:
         """Largest denominator whose full scan fits the budget."""
-        return largest_resolution(self.grid.resolution, self.l, n_cells, _INNER_BUDGET)
+        k_in = self._inner_res.get(n_cells)
+        if k_in is None:
+            k_in = largest_resolution(self.grid.resolution, self.l, n_cells, _INNER_BUDGET)
+            self._inner_res[n_cells] = k_in
+        return k_in
+
+    def _cells(self, coupling: np.ndarray) -> list[tuple]:
+        """The positive cells of a coupling, in row-major order (see the class docstring)."""
+        return [
+            (x, xp, float(coupling[x, xp]), self._wrows[x], *self._score_rows[x], *self._score_rows[xp])
+            for x in range(self.kx)
+            for xp in range(self.kx)
+            if coupling[x, xp] > 0
+        ]
 
     # -- exhaustive scan -------------------------------------------------
 
@@ -429,12 +460,7 @@ class ConfusionExponentSolver:
         scan would find, then from the kernels of its last accepted step.
         """
         do_refine = self.grid.refine if refine is None else refine
-        cells = [
-            (x, xp, float(coupling[x, xp]))
-            for x in range(self.kx)
-            for xp in range(self.kx)
-            if coupling[x, xp] > 0
-        ]
+        cells = self._cells(coupling)
         if not cells:
             raise DistributionError("empty coupling")
         s = len(cells)
@@ -445,11 +471,11 @@ class ConfusionExponentSolver:
             # exactly rate above them, so the clipped deficit is rate for
             # every kernel stack; the divergence infimum is 0 at the
             # channel rows.
-            stack = np.stack([self.W[x] for x, _, _ in cells])
+            stack = np.stack([self.W[c[0]] for c in cells])
             return InnerSolution(self.rate, self._stack_dict(cells, stack), k_in, note)
         if skip_grid:
             warm = warm or {}
-            stack = np.array([warm.get((x, xp), self.W[x]) for x, xp, _ in cells])
+            stack = np.array([warm.get((c[0], c[1]), self.W[c[0]]) for c in cells])
         else:
             value, picks = self._scan(cells, counts, k_in)
             if not math.isfinite(value):
@@ -466,7 +492,7 @@ class ConfusionExponentSolver:
 
     @staticmethod
     def _stack_dict(cells, stack) -> dict[tuple[int, int], np.ndarray]:
-        return {(x, xp): stack[r].copy() for r, (x, xp, _) in enumerate(cells)}
+        return {(c[0], c[1]): stack[r].copy() for r, c in enumerate(cells)}
 
     def _scan(self, cells, counts, k_in) -> tuple[float, np.ndarray]:
         opt_counts, opts, dopt, gsc = self._tables(k_in)
@@ -538,41 +564,64 @@ class ConfusionExponentSolver:
     # -- refinement -------------------------------------------------------
 
     def stack_value(self, cells, stack: np.ndarray) -> float:
-        """Objective at one kernel stack (row r is the cell-r kernel)."""
+        """Objective at one kernel stack (row r is the cell-r kernel).
+
+        The result is bit for bit what an all-numpy evaluation gives, so
+        the descent takes the same path either way:
+
+        * the divergence and the output marginal are summed in Python
+          floats over ``stack.tolist()``, term by term in cell order, as
+          ``wt * v * log(v / w)`` and ``wt * v``; per-call numpy overhead
+          on rows of 2-4 entries costs far more than the arithmetic;
+        * an affine score keeps numpy's dot per row (``row.dot(m)``, the
+          BLAS call ``np.dot`` makes), because a plain-float dot differs
+          from it in the last bit on many short vectors (BLAS may fuse or
+          reorder the products); a row is checked for its forbidden
+          outputs only when its metric row has a -inf entry;
+        * a non-affine score takes both joints through one
+          ``mutual_information_stack`` call: its reductions run row by
+          row, so each joint's value does not depend on the other, and
+          numpy's log is kept because it can differ from ``math.log``.
+        """
+        rows = stack.tolist()
+        qy = [0.0] * self.l
         total_d = 0.0
-        for r, (x, _, wt) in enumerate(cells):
-            row = stack[r]
-            wrow = self.W[x]
-            for y in range(self.l):
-                v = row[y]
+        for c, row in zip(cells, rows):
+            wt, wrow = c[2], c[3]
+            for y, v in enumerate(row):
+                qy[y] += wt * v
                 if v <= 0:
                     continue
                 if wrow[y] <= 0:
                     return math.inf
                 total_d += wt * v * math.log(v / wrow[y])
-        w = np.array([c[2] for c in cells])
-        qy = (w[:, None] * stack).sum(axis=0)
-        if self.metric.is_affine:
+        if self._mfin is not None:
             g1 = g2 = 0.0
-            for r, (x, xp, wt) in enumerate(cells):
-                row = stack[r]
-                pos = row > 0
-                if np.any(pos & self._mneg[x]):
-                    g1 = -math.inf
+            for r, (x, xp, wt, _, mx, neg_x, mxp, neg_xp) in enumerate(cells):
+                row = rows[r]
+                dot = None
                 if g1 != -math.inf:
-                    g1 += wt * float(np.dot(row, self._mfin[x]))
-                if np.any(pos & self._mneg[xp]):
-                    g2 = -math.inf
+                    if neg_x and any(row[y] > 0 for y in neg_x):
+                        g1 = -math.inf
+                    else:
+                        dot = float(stack[r].dot(mx))
+                        g1 += wt * dot
                 if g2 != -math.inf:
-                    g2 += wt * float(np.dot(row, self._mfin[xp]))
+                    if neg_xp and any(row[y] > 0 for y in neg_xp):
+                        g2 = -math.inf
+                    else:
+                        if dot is None or xp != x:
+                            dot = float(stack[r].dot(mxp))
+                        g2 += wt * dot
         else:
-            jxy = np.zeros((self.kx, self.l))
-            jxpy = np.zeros((self.kx, self.l))
-            for r, (x, xp, wt) in enumerate(cells):
-                jxy[x] += wt * stack[r]
-                jxpy[xp] += wt * stack[r]
-            g1 = float(mutual_information_stack(jxy[None])[0])
-            g2 = float(mutual_information_stack(jxpy[None])[0])
+            joints = [[[0.0] * self.l for _ in range(self.kx)] for _ in range(2)]
+            for c, row in zip(cells, rows):
+                wt, first, second = c[2], joints[0][c[0]], joints[1][c[1]]
+                for y, v in enumerate(row):
+                    t = wt * v
+                    first[y] += t
+                    second[y] += t
+            g1, g2 = mutual_information_stack(np.array(joints)).tolist()
         if g2 == -math.inf:
             return math.inf
         floor = self.score_eval.value(qy)
@@ -583,14 +632,19 @@ class ConfusionExponentSolver:
     def _refine_stack(
         self, cells, stack: np.ndarray, max_sweeps: int | None, line_tol: float | None
     ) -> tuple[float, np.ndarray]:
-        # Each direction moves mass from output y2 to output y1 of one row.
-        unit = np.eye(stack.size).reshape((-1,) + stack.shape)
-        dirs = [
-            unit[r * self.l + y1] - unit[r * self.l + y2]
-            for r in range(len(cells))
-            for y1 in range(self.l)
-            for y2 in range(y1 + 1, self.l)
-        ]
+        dirs = self._dirs.get(len(cells))
+        if dirs is None:
+            # Each direction moves mass from output y2 to output y1 of one row.
+            unit = np.eye(stack.size).reshape((-1,) + stack.shape)
+            dirs = [
+                unit[r * self.l + y1] - unit[r * self.l + y2]
+                for r in range(len(cells))
+                for y1 in range(self.l)
+                for y2 in range(y1 + 1, self.l)
+            ]
+            for d in dirs:
+                d.flags.writeable = False
+            self._dirs[len(cells)] = dirs
         sweeps = _MAX_REFINE_SWEEPS if max_sweeps is None else max_sweeps
         line_tol = _REFINE_TOL * 1e-2 if line_tol is None else line_tol
 

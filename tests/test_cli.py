@@ -144,6 +144,24 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("flag", [[], ["--rate", "0.3"]])
+    def test_rate_with_rate_range_rejected(self, tmp_path, capsys, flag):
+        # A rate from the config or the flag used to be dropped in favour
+        # of the range, printing the row for 0.1.
+        payload = {
+            "channel": BSC,
+            "metric": {"kind": "matched"},
+            "rate_range": {"start": 0.1, "stop": 0.1},
+            "resolution": 8,
+        }
+        if not flag:
+            payload["rate"] = 0.3
+        cfg = write_config(tmp_path, "rate_and_range.json", payload)
+        assert main(["sweep", "--config", cfg, *flag]) == 2
+        out = capsys.readouterr()
+        assert "input error" in out.err and "'rate'" in out.err
+        assert out.out == ""
+
 
 class TestSimulateCommand:
     def test_report_shape(self, tmp_path, capsys):
@@ -362,6 +380,47 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert "input error" in out.err and f"'{field}'" in out.err
         assert out.out == ""
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("exponent", "refine", "false"),
+            ("exponent", "refine", 0),
+            ("sweep", "refine", None),
+            ("exponent", "resolution", 8.9),
+            ("exponent", "resolution", True),
+            ("exponent", "resolution", "8"),
+            ("sweep", "resolution", 8.5),
+            ("exponent", "workers", 1.5),
+            ("exponent", "workers", False),
+            ("simulate", "workers", "1"),
+            ("simulate", "resolution", 12.5),
+            ("simulate", "resolution", True),
+        ],
+    )
+    def test_rejects_mistyped_config_value(self, tmp_path, capsys, command, field, value):
+        payload = {"channel": BSC, "metric": {"kind": "matched"}, "rate": 0.2, "resolution": 8}
+        if command == "simulate":
+            payload["simulation"] = {"n": 4, "M": 2, "trials": 100, "seed": 1}
+        cfg = write_config(tmp_path, "typed.json", dict(payload, **{field: value}))
+        assert main([command, "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert "input error" in out.err and f"'{field}'" in out.err
+        assert out.out == ""
+
+    def test_integral_float_resolution_accepted(self, tmp_path, capsys):
+        text = []
+        for resolution in (8, 8.0):
+            cfg = write_config(
+                tmp_path,
+                "integral.json",
+                {"channel": BSC, "metric": {"kind": "matched"}, "rate": 0.2,
+                 "resolution": resolution, "refine": False},
+            )
+            assert main(["exponent", "--config", cfg]) == 0
+            text.append(capsys.readouterr().out)
+        assert text[0] == text[1]
+        assert json.loads(text[0])["resolution"] == 8
 
     def test_infeasible_grid_is_exit_3(self, tmp_path, capsys):
         cfg = write_config(

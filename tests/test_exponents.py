@@ -14,6 +14,7 @@ import pytest
 
 from gldx import (
     AffineMetric,
+    Channel,
     CompetitorScoreEvaluator,
     ConfusionExponentSolver,
     Distribution,
@@ -35,6 +36,7 @@ from gldx import (
     pairwise_confusion_exponent,
     rate_sweep,
 )
+from gldx.measures import mutual_information_stack
 from gldx.optimizer import enumerate_margin_tables, margin_counts
 
 
@@ -142,6 +144,135 @@ class TestScoreFloor:
         assert np.all(ev.value_grid(counts, 8) == base)
 
 
+def _numpy_stack_value(solver, cells, stack):
+    """The all-numpy objective that ``stack_value`` must match bit for bit.
+
+    Cells are (x, xp, weight) triples; the floor is a one-row scan
+    memoized on ``np.round(q, 12)`` in a dict of its own.
+    """
+    total_d = 0.0
+    for r, (x, _, wt) in enumerate(cells):
+        row = stack[r]
+        wrow = solver.W[x]
+        for y in range(solver.l):
+            v = row[y]
+            if v <= 0:
+                continue
+            if wrow[y] <= 0:
+                return math.inf
+            total_d += wt * v * math.log(v / wrow[y])
+    w = np.array([c[2] for c in cells])
+    qy = (w[:, None] * stack).sum(axis=0)
+    if solver.metric.is_affine:
+        g1 = g2 = 0.0
+        for r, (x, xp, wt) in enumerate(cells):
+            row = stack[r]
+            pos = row > 0
+            if np.any(pos & solver._mneg[x]):
+                g1 = -math.inf
+            if g1 != -math.inf:
+                g1 += wt * float(np.dot(row, solver._mfin[x]))
+            if np.any(pos & solver._mneg[xp]):
+                g2 = -math.inf
+            if g2 != -math.inf:
+                g2 += wt * float(np.dot(row, solver._mfin[xp]))
+    else:
+        jxy = np.zeros((solver.kx, solver.l))
+        jxpy = np.zeros((solver.kx, solver.l))
+        for r, (x, xp, wt) in enumerate(cells):
+            jxy[x] += wt * stack[r]
+            jxpy[xp] += wt * stack[r]
+        g1 = float(mutual_information_stack(jxy[None])[0])
+        g2 = float(mutual_information_stack(jxpy[None])[0])
+    if g2 == -math.inf:
+        return math.inf
+    ev = solver.score_eval
+    if ev.mode == "scan":
+        memo = ev.__dict__.setdefault("_numpy_memo", {})
+        key = tuple(np.round(qy, 12))
+        if key not in memo:
+            memo[key] = float(ev._scan(qy[None, :])[0])
+        floor = memo[key]
+    else:
+        floor = ev._base
+    top = max(g1, floor)
+    bracket = max(top - g2, 0.0) if top != -math.inf else 0.0
+    return max(total_d, 0.0) + bracket
+
+
+def _sample_stacks(rng, n, rows, l):
+    """Kernel stacks, about a third of their entries zeroed, some on a coarse grid."""
+    out = []
+    for i in range(n):
+        st = rng.dirichlet(np.ones(l), size=rows) * (rng.random((rows, l)) > 0.3)
+        st[st.sum(axis=1) == 0, rng.integers(l)] = 1.0
+        st /= st.sum(axis=1, keepdims=True)
+        out.append(np.round(st * 8) / 8 if i % 4 == 0 else st)
+    return out
+
+
+class TestStackValue:
+    Z = [[1.0, 0.0], [0.2, 0.8]]
+
+    @pytest.mark.parametrize(
+        "name, matrix, metric",
+        [
+            ("bsc-matched", [[0.9, 0.1], [0.1, 0.9]], lambda ch: matched_metric(ch, beta=2.0)),
+            ("bsc-mismatched", [[0.9, 0.1], [0.1, 0.9]], lambda ch: mismatched_metric([[0.85, 0.15], [0.15, 0.85]])),
+            ("wide-matched", [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]], lambda ch: matched_metric(ch)),
+            ("wide-emi", [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]], lambda ch: emi_metric(2, 3)),
+            # A zero channel entry: mass on it makes the divergence +inf,
+            # and the matched metric has a -inf cell there.
+            ("z-matched", Z, lambda ch: matched_metric(ch)),
+            ("z-emi", Z, lambda ch: emi_metric(2, 2)),
+            # -inf metric cells on a channel of full support.
+            ("bsc-forbidden", [[0.9, 0.1], [0.1, 0.9]], lambda ch: mismatched_metric([[1.0, 0.0], [0.3, 0.7]])),
+            ("wide-forbidden", [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]],
+             lambda ch: mismatched_metric([[0.5, 0.5, 0.0], [0.0, 0.4, 0.6]])),
+        ],
+    )
+    def test_matches_numpy_objective(self, name, matrix, metric):
+        ch = Channel.from_matrix(matrix)
+        m = metric(ch)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        couplings = [
+            np.array([[0.4, 0.1], [0.1, 0.4]]),
+            np.array([[0.5, 0.0], [0.0, 0.5]]),
+            np.array([[0.25, 0.25], [0.25, 0.25]]),
+            np.array([[0.3, 0.2], [0.2, 0.3]]),
+        ]
+        seen = {"inf": 0, "finite": 0}
+        for rate in (0.1, 0.3):
+            ev = CompetitorScoreEvaluator(m, rate, ch.output_size, 8)
+            solver = ConfusionExponentSolver(ch, m, rate, GridSpec(8), ev)
+            for coupling in couplings:
+                cells = solver._cells(coupling)
+                triples = [c[:3] for c in cells]
+                for stack in _sample_stacks(rng, 40, len(cells), ch.output_size):
+                    want = _numpy_stack_value(solver, triples, stack)
+                    assert solver.stack_value(cells, stack) == want
+                    seen["finite" if math.isfinite(want) else "inf"] += 1
+        assert seen["finite"] > 0
+        assert (seen["inf"] > 0) == name.startswith(("z-", "bsc-forbidden", "wide-forbidden"))
+
+    def test_floor_key_is_numpy_round(self, wide):
+        ev = CompetitorScoreEvaluator(matched_metric(wide), 0.1, 3, 8)
+        rng = np.random.default_rng(5)
+        rows = [rng.dirichlet(np.ones(3)) for _ in range(50)]
+        # entries less than half a unit of the 12th digit apart round together
+        rows += [np.array([0.25, 0.25, 0.5]), np.array([0.25 + 4e-13, 0.25, 0.5 - 4e-13])]
+        # ties where rint(v * 1e12) / 1e12 and Python's round(v, 12) disagree
+        rows.append(np.array([0.0409735239375, 0.2997118905385, 0.659315185124]))
+        for q in rows:
+            ev.value(q)
+            ev.value(q.tolist())
+        def hexes(key):
+            return tuple(float(v).hex() for v in key)
+
+        assert {hexes(k) for k in ev._memo} == {hexes(np.round(q, 12)) for q in rows}
+        assert len(ev._memo) == len(rows) - 1
+
+
 class TestPairwiseConfusion:
     def test_nonnegative_and_monotone_in_rate(self, bsc, unif2):
         m = matched_metric(bsc)
@@ -203,6 +334,26 @@ class TestOuterForms:
             [0.2890570162034178, 0.21094298379658225],
             [0.21094298379658225, 0.2890570162034178],
         ]
+
+    @pytest.mark.parametrize(
+        "rate, want, argmin",
+        [
+            (0.1, 0.12314355131420984, [[0.25, 0.25], [0.25, 0.25]]),
+            (
+                0.3,
+                0.006396414418823215,
+                [[0.2433197321803234, 0.2566802678196766], [0.2566802678196766, 0.2433197321803234]],
+            ),
+        ],
+    )
+    def test_bsc_emi_refined_pinned(self, bsc, unif2, rate, want, argmin):
+        # Pinned before the emi objective took both joints through one
+        # mutual-information call; refinement and polish both run.
+        res = exponent_form(ExponentQuery(rate, unif2, bsc, emi_metric(2, 2)), GridSpec(8, refine=True))
+        assert res.form == "penalized"
+        assert res.value == res.expurgated_value == res.maxmin_value == want
+        assert res.rho_star == 1.0 and res.gap == 0.0
+        assert res.argmin.tolist() == argmin
 
     def test_each_margin_table_scanned_once(self, bsc, unif2, monkeypatch):
         scans = []
