@@ -144,11 +144,11 @@ class TestScoreFloor:
         assert np.all(ev.value_grid(counts, 8) == base)
 
 
-def _numpy_stack_value(solver, cells, stack):
+def _numpy_stack_value(solver, cells, stack, memo):
     """The all-numpy objective that ``stack_value`` must match bit for bit.
 
     Cells are (x, xp, weight) triples; the floor is a one-row scan
-    memoized on ``np.round(q, 12)`` in a dict of its own.
+    memoized in ``memo`` on ``np.round(q, 12)``.
     """
     total_d = 0.0
     for r, (x, _, wt) in enumerate(cells):
@@ -188,7 +188,6 @@ def _numpy_stack_value(solver, cells, stack):
         return math.inf
     ev = solver.score_eval
     if ev.mode == "scan":
-        memo = ev.__dict__.setdefault("_numpy_memo", {})
         key = tuple(np.round(qy, 12))
         if key not in memo:
             memo[key] = float(ev._scan(qy[None, :])[0])
@@ -211,24 +210,26 @@ def _sample_stacks(rng, n, rows, l):
     return out
 
 
-class TestStackValue:
-    Z = [[1.0, 0.0], [0.2, 0.8]]
+_BSC = [[0.9, 0.1], [0.1, 0.9]]
+_WIDE = [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]
+_Z = [[1.0, 0.0], [0.2, 0.8]]
 
+
+class TestStackValue:
     @pytest.mark.parametrize(
         "name, matrix, metric",
         [
-            ("bsc-matched", [[0.9, 0.1], [0.1, 0.9]], lambda ch: matched_metric(ch, beta=2.0)),
-            ("bsc-mismatched", [[0.9, 0.1], [0.1, 0.9]], lambda ch: mismatched_metric([[0.85, 0.15], [0.15, 0.85]])),
-            ("wide-matched", [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]], lambda ch: matched_metric(ch)),
-            ("wide-emi", [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]], lambda ch: emi_metric(2, 3)),
+            ("bsc-matched", _BSC, lambda ch: matched_metric(ch, beta=2.0)),
+            ("bsc-mismatched", _BSC, lambda ch: mismatched_metric([[0.85, 0.15], [0.15, 0.85]])),
+            ("wide-matched", _WIDE, lambda ch: matched_metric(ch)),
+            ("wide-emi", _WIDE, lambda ch: emi_metric(2, 3)),
             # A zero channel entry: mass on it makes the divergence +inf,
             # and the matched metric has a -inf cell there.
-            ("z-matched", Z, lambda ch: matched_metric(ch)),
-            ("z-emi", Z, lambda ch: emi_metric(2, 2)),
+            ("z-matched", _Z, lambda ch: matched_metric(ch)),
+            ("z-emi", _Z, lambda ch: emi_metric(2, 2)),
             # -inf metric cells on a channel of full support.
-            ("bsc-forbidden", [[0.9, 0.1], [0.1, 0.9]], lambda ch: mismatched_metric([[1.0, 0.0], [0.3, 0.7]])),
-            ("wide-forbidden", [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]],
-             lambda ch: mismatched_metric([[0.5, 0.5, 0.0], [0.0, 0.4, 0.6]])),
+            ("bsc-forbidden", _BSC, lambda ch: mismatched_metric([[1.0, 0.0], [0.3, 0.7]])),
+            ("wide-forbidden", _WIDE, lambda ch: mismatched_metric([[0.5, 0.5, 0.0], [0.0, 0.4, 0.6]])),
         ],
     )
     def test_matches_numpy_objective(self, name, matrix, metric):
@@ -245,11 +246,12 @@ class TestStackValue:
         for rate in (0.1, 0.3):
             ev = CompetitorScoreEvaluator(m, rate, ch.output_size, 8)
             solver = ConfusionExponentSolver(ch, m, rate, GridSpec(8), ev)
+            memo = {}
             for coupling in couplings:
                 cells = solver._cells(coupling)
                 triples = [c[:3] for c in cells]
                 for stack in _sample_stacks(rng, 40, len(cells), ch.output_size):
-                    want = _numpy_stack_value(solver, triples, stack)
+                    want = _numpy_stack_value(solver, triples, stack, memo)
                     assert solver.stack_value(cells, stack) == want
                     seen["finite" if math.isfinite(want) else "inf"] += 1
         assert seen["finite"] > 0
