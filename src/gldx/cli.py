@@ -39,18 +39,31 @@ from .simulator import (
 from . import verify as verify_mod
 
 _MARKOV_RHOS = (1.0, 2.0, 5.0)
-# Config fields a command reads that have no flag; fields of nested blocks.
-_SHARED = ("channel", "metric", "composition")
-_CONFIG_ONLY = {
-    "exponent": _SHARED + ("refine",),
-    "sweep": _SHARED + ("refine", "rate_range"),
-    "simulate": _SHARED + ("simulation",),
+# Every config field each command reads, as field: (type, default).  The
+# type is the Python type the JSON value is read as (float: any number,
+# int: an integral number, a tuple: either type) or, for a nested block,
+# the block's own table.  A field with default None is optional or is
+# checked where it is read.  A command's flags override the fields of
+# the same name, at the top level or else in the `simulation` block.
+_COMMON = {
+    "channel": ((dict, str), None), "metric": (dict, None), "composition": (list, None),
+    "rate": (float, None), "resolution": (int, 16), "workers": (int, 1), "output": (str, None),
 }
-_BLOCK_FIELDS = {
-    "simulation": ("n", "M", "trials", "seed", "epsilon", "mode", "codewords"),
-    "rate_range": ("start", "stop", "step"),
+_EXPONENT = dict(_COMMON, rho_max=(float, 64.0), refine=(bool, True))
+_RATE_RANGE = {"start": (float, None), "stop": (float, None), "step": (float, 0.05)}
+_SIMULATION = {
+    "n": (int, None), "M": (int, None), "trials": (int, None), "seed": (int, None),
+    "epsilon": (float, None), "mode": (str, "auto"), "codewords": (list, None),
 }
-_SIM_FLAGS = ("n", "m", "trials", "seed", "epsilon")
+_SCHEMA = {
+    "exponent": _EXPONENT,
+    "sweep": dict(_EXPONENT, rate_range=(_RATE_RANGE, None), format=(str, "csv")),
+    "simulate": dict(_COMMON, simulation=(_SIMULATION, {})),
+}
+_TYPE_NAMES = {
+    float: "a number", int: "an integer", bool: "a boolean", str: "a string",
+    list: "a list", dict: "an object", (dict, str): "an object or a file path",
+}
 
 
 def _sanitize(obj):
@@ -101,31 +114,45 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_fields(where: str, keys, read) -> None:
-    unread = sorted(set(keys) - set(read))
+def _checked(where: str, cfg: dict, schema: dict) -> dict:
+    """``cfg`` checked against ``schema``: each value read once as its type, defaults filled in.
+
+    A field the schema does not list, or a value of another JSON type,
+    is a ``ConfigError`` naming the field.  A number is never a boolean;
+    an integer field also takes an integral float such as 16.0.
+    """
+    unread = sorted(set(cfg) - set(schema))
     if unread:
         raise ConfigError(f"{where} does not read the config field {', '.join(map(repr, unread))}")
+    out = {}
+    for field, (kind, default) in schema.items():
+        if field not in cfg and default is None:
+            continue
+        v = cfg.get(field, default)
+        json_type = dict if isinstance(kind, dict) else kind
+        if json_type in (int, float):
+            ok = isinstance(v, (int, float)) and not isinstance(v, bool) and (kind is float or v % 1 == 0)
+        else:
+            ok = isinstance(v, json_type)
+        if not ok:
+            raise ConfigError(f"config field {field!r} must be {_TYPE_NAMES[json_type]}, got {v!r}")
+        if isinstance(kind, dict):
+            v = _checked(f"{where} {field}", v, kind)
+        elif kind in (int, float):
+            v = kind(v)
+        out[field] = v
+    return out
 
 
 def _load_config(args) -> dict:
     cfg = _load_json_file(args.config) if args.config else {}
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    # A command has a flag for each top-level field it reads, bar its
-    # config-only fields; the simulation flags override block fields.
-    flags = [f for f in vars(args) if f not in ("command", "config") + _SIM_FLAGS]
-    _check_fields(args.command, cfg, flags + list(_CONFIG_ONLY[args.command]))
-    for block, fields in _BLOCK_FIELDS.items():
-        if isinstance(cfg.get(block), dict):
-            _check_fields(f"{args.command} {block}", cfg[block], fields)
-    for field in flags:
-        if getattr(args, field) is not None:
-            cfg[field] = getattr(args, field)
-    sim_over = {
-        "M" if k == "m" else k: getattr(args, k) for k in _SIM_FLAGS if getattr(args, k, None) is not None
-    }
-    if sim_over:
-        cfg["simulation"] = dict(cfg.get("simulation") or {}, **sim_over)
+    schema = _SCHEMA[args.command]
+    cfg = _checked(args.command, cfg, schema)
+    for field, v in vars(args).items():
+        if v is not None and field not in ("command", "config"):
+            (cfg if field in schema else cfg["simulation"])[field] = v
     return cfg
 
 
@@ -157,45 +184,15 @@ def _composition_from_config(cfg: dict, channel: Channel) -> Distribution:
     return q
 
 
-def _typed_field(cfg: dict, field: str, default, kind: type):
-    """``cfg[field]``, or ``default`` when absent, checked against ``kind``.
-
-    ``bool`` accepts only a JSON boolean.  ``int`` accepts an integer
-    or an integral float such as 16.0, and rejects booleans and
-    fractional numbers, which ``int()`` would silently truncate.
-    """
-    v = cfg.get(field, default)
-    if kind is bool:
-        ok = isinstance(v, bool)
-    else:
-        ok = not isinstance(v, bool) and (
-            isinstance(v, int) or (isinstance(v, float) and v.is_integer())
-        )
-    if not ok:
-        what = "a boolean" if kind is bool else "an integer"
-        raise ConfigError(f"config field {field!r} must be {what}, got {v!r}")
-    return kind(v)
-
-
-def _grid_from_config(cfg: dict) -> GridSpec:
-    return GridSpec(
-        resolution=_typed_field(cfg, "resolution", 16, int),
-        refine=_typed_field(cfg, "refine", True, bool),
-        workers=_typed_field(cfg, "workers", 1, int),
-    )
-
-
 def cmd_exponent(cfg: dict) -> int:
     channel = _channel_from_config(cfg)
     metric = _metric_from_config(cfg, channel)
     comp = _composition_from_config(cfg, channel)
     if "rate" not in cfg:
         raise ConfigError("config is missing 'rate'")
-    query = ExponentQuery(
-        float(cfg["rate"]), comp, channel, metric, rho_max=float(cfg.get("rho_max", 64.0))
-    )
+    query = ExponentQuery(cfg["rate"], comp, channel, metric, rho_max=cfg["rho_max"])
     start = time.perf_counter()
-    result = exponent_form(query, _grid_from_config(cfg))
+    result = exponent_form(query, GridSpec(cfg["resolution"], cfg["refine"], cfg["workers"]))
     elapsed = 1000.0 * (time.perf_counter() - start)
     _emit(_json_text(result.to_json()), cfg.get("output"))
     print(f"exponent computed in {elapsed:.1f} ms", file=sys.stderr)
@@ -205,13 +202,12 @@ def cmd_exponent(cfg: dict) -> int:
 def _sweep_rates(cfg: dict) -> list[float]:
     if "rate_range" not in cfg:
         if "rate" in cfg:
-            return [float(cfg["rate"])]
+            return [cfg["rate"]]
         raise ConfigError("sweep needs 'rate_range' (or a single 'rate')")
     if "rate" in cfg:
         raise ConfigError("sweep takes 'rate_range' or a single 'rate', not both")
     rr = cfg["rate_range"]
-    start, stop = float(rr["start"]), float(rr["stop"])
-    step = float(rr.get("step", 0.05))
+    start, stop, step = rr["start"], rr["stop"], rr["step"]
     if stop < start or step <= 0:
         raise ConfigError("rate_range needs start <= stop and step > 0")
     rates = []
@@ -230,13 +226,11 @@ def cmd_sweep(cfg: dict) -> int:
     metric = _metric_from_config(cfg, channel)
     comp = _composition_from_config(cfg, channel)
     rates = _sweep_rates(cfg)
-    query = ExponentQuery(
-        rates[0], comp, channel, metric, rho_max=float(cfg.get("rho_max", 64.0))
-    )
+    query = ExponentQuery(rates[0], comp, channel, metric, rho_max=cfg["rho_max"])
     start = time.perf_counter()
-    results = rate_sweep(query, rates, _grid_from_config(cfg))
+    results = rate_sweep(query, rates, GridSpec(cfg["resolution"], cfg["refine"], cfg["workers"]))
     elapsed = 1000.0 * (time.perf_counter() - start)
-    fmt = cfg.get("format", "csv")
+    fmt = cfg["format"]
     if fmt == "json":
         payload = [dict(res.to_json(), rate=rate) for rate, res in zip(rates, results)]
         _emit(_json_text(payload), cfg.get("output"))
@@ -276,11 +270,7 @@ def cmd_simulate(cfg: dict) -> int:
     channel = _channel_from_config(cfg)
     metric = _metric_from_config(cfg, channel)
     comp = _composition_from_config(cfg, channel)
-    workers = _typed_field(cfg, "workers", 1, int)
-    resolution = _typed_field(cfg, "resolution", 16, int)
-    sim = cfg.get("simulation")
-    if not isinstance(sim, dict):
-        raise ConfigError("simulate needs a 'simulation' block in the config")
+    workers, resolution, sim = cfg["workers"], cfg["resolution"], cfg["simulation"]
     words = None
     if "codewords" in sim:
         # Explicit words fix n and M; without a config composition, the
@@ -296,20 +286,14 @@ def cmd_simulate(cfg: dict) -> int:
     for key in ("n", "M", "trials", "seed"):
         if key not in sim:
             raise ConfigError(f"simulation block is missing '{key}'")
-    config = SimConfig(
-        n=int(sim["n"]),
-        M=int(sim["M"]),
-        trials=int(sim["trials"]),
-        seed=int(sim["seed"]),
-        epsilon=(float(sim["epsilon"]) if sim.get("epsilon") is not None else None),
-    )
+    config = SimConfig(sim["n"], sim["M"], sim["trials"], sim["seed"], sim.get("epsilon"))
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     if words is None:
         code = sample_code(comp, config.n, config.M, rng)
     else:
         code = Codebook(words, comp)
-    mode = sim.get("mode", "auto")
+    mode = sim["mode"]
     feasible = enumerable(channel.output_size, code.blocklength)
     if mode == "auto":
         mode = "exact" if feasible else "mc"
@@ -330,7 +314,7 @@ def cmd_simulate(cfg: dict) -> int:
     else:
         raise ConfigError(f"unknown simulation mode {mode!r}")
 
-    rate = float(cfg["rate"]) if "rate" in cfg else code.rate
+    rate = cfg.get("rate", code.rate)
     eps = min(config.effective_epsilon(), rate)
     report_gc = check_good_code(
         code,
@@ -405,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sample a code and report error statistics")
     common(p_sim)
     p_sim.add_argument("--n", type=int, help="override the blocklength")
-    p_sim.add_argument("--m", type=int, help="override the code size M")
+    p_sim.add_argument("--m", dest="M", type=int, help="override the code size M")
     p_sim.add_argument("--trials", type=int, help="override Monte Carlo trials")
     p_sim.add_argument("--seed", type=int, help="override the RNG seed")
     p_sim.add_argument("--epsilon", type=float, help="override the good-code back-off")

@@ -660,11 +660,12 @@ def _descend(f, x, cur, dirs, sweeps, line_tol, *, eps, radius=math.inf, rel_tol
     Each direction d is searched over the steps t in [lo, hi] that keep
     x + t*d nonnegative and |t| <= ``radius``, by golden section to the
     tolerance max(line_tol, (hi - lo) * rel_tol); a range no wider than
-    ``eps`` is skipped.  A nonzero step that
-    gains more than ``eps`` moves x to max(x + t*d, 0); ``commit(x)``,
-    when given, then re-evaluates the new point, and its value counts
-    only if it is below the current one.  At most ``sweeps`` sweeps run,
-    and a sweep gaining less than ``_REFINE_TOL`` ends the descent.
+    ``eps`` is skipped.  A nonzero step that gains more than ``eps``
+    moves x to max(x + t*d, 0).  When given, ``commit(x_new, cur)``
+    first re-evaluates that point, and the step is taken only if the
+    value it returns is below ``cur``; a rejected step leaves x, and
+    whatever commit keeps, as they were.  At most ``sweeps`` sweeps
+    run, and a sweep gaining less than ``_REFINE_TOL`` ends the descent.
     Returns the final value and point.
     """
     for _ in range(sweeps):
@@ -683,11 +684,11 @@ def _descend(f, x, cur, dirs, sweeps, line_tol, *, eps, radius=math.inf, rel_tol
                 lambda s: f(np.maximum(x + s * d, 0.0)), lo, hi, max(line_tol, (hi - lo) * rel_tol)
             )
             if f_best < cur - eps and t != 0.0:
-                x = np.maximum(x + t * d, 0.0)
-                new = f_best if commit is None else commit(x)
+                cand = np.maximum(x + t * d, 0.0)
+                new = f_best if commit is None else commit(cand, cur)
                 if new < cur:
                     gain += cur - new
-                    cur = new
+                    cur, x = new, cand
         if gain < _REFINE_TOL:
             break
     return cur, x
@@ -802,11 +803,13 @@ def _polish_coupling(
         sol = solver.solve(joint, None, skip_grid=True, warm=warm, max_sweeps=2, line_tol=1e-4)
         return objective(sol.value, joint)
 
-    def commit(joint: np.ndarray) -> float:
+    def commit(joint: np.ndarray, cur: float) -> float:
         nonlocal warm
         sol = solver.solve(joint, None, skip_grid=True, warm=warm, max_sweeps=8, line_tol=1e-6)
-        warm = sol.kernels
-        return objective(sol.value, joint)
+        value = objective(sol.value, joint)
+        if value < cur:
+            warm = sol.kernels
+        return value
 
     cur, p = _descend(
         probe, p, objective(first.value, p), move_directions(p.shape[0]), 2, 1e-4,

@@ -153,20 +153,43 @@ def emi_metric(x_size: int, y_size: int) -> EmpiricalMutualInformationMetric:
     return EmpiricalMutualInformationMetric(x_size, y_size)
 
 
+# The fields each metric kind reads.
+_FIELDS = {
+    "matched": ("kind", "beta"),
+    "mismatched": ("kind", "beta", "kernel"),
+    "constant": ("kind", "value"),
+    "emi": ("kind",),
+}
+
+
+def _number(obj: dict, field: str, default: float) -> float:
+    v = obj.get(field, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise MetricError(f"metric field {field!r} must be a number, got {v!r}")
+    return float(v)
+
+
 def metric_from_json(obj: dict, channel: Channel | None = None) -> Metric:
     """Build a metric from a JSON-style dict.
 
-    Recognized kinds: ``matched`` (needs the channel), ``mismatched``
-    (needs a ``kernel`` row-stochastic matrix), ``constant`` (optional
-    ``value``), ``emi``.  ``beta`` defaults to 1 where it applies.
+    Recognized kinds: ``matched``, ``mismatched`` (needs a ``kernel``
+    row-stochastic matrix), ``constant`` (optional ``value``), ``emi``;
+    all but ``mismatched`` need the channel.  ``beta`` defaults to 1
+    where it applies.  A field the kind does not read, or a ``beta`` or
+    ``value`` that is not a number, is a ``MetricError``.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise MetricError("metric object must be a dict with a 'kind' field")
     kind = obj["kind"]
-    beta = float(obj.get("beta", 1.0))
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise MetricError(f"unknown metric kind {kind!r}")
+    unread = sorted(set(obj) - set(_FIELDS[kind]))
+    if unread:
+        raise MetricError(f"{kind} metric does not read the field {', '.join(map(repr, unread))}")
+    beta = _number(obj, "beta", 1.0)
+    if channel is None and kind != "mismatched":
+        raise MetricError(f"{kind} metric requires a channel")
     if kind == "matched":
-        if channel is None:
-            raise MetricError("matched metric requires a channel")
         return matched_metric(channel, beta)
     if kind == "mismatched":
         if "kernel" not in obj:
@@ -186,11 +209,5 @@ def metric_from_json(obj: dict, channel: Channel | None = None) -> Metric:
             raise MetricError("decoding kernel shape does not match the channel")
         return mismatched_metric(kern_channel, beta)
     if kind == "constant":
-        if channel is None:
-            raise MetricError("constant metric requires a channel for its shape")
-        return constant_metric(channel.input_size, channel.output_size, float(obj.get("value", 0.0)))
-    if kind == "emi":
-        if channel is None:
-            raise MetricError("emi metric requires a channel for its shape")
-        return emi_metric(channel.input_size, channel.output_size)
-    raise MetricError(f"unknown metric kind {kind!r}")
+        return constant_metric(channel.input_size, channel.output_size, _number(obj, "value", 0.0))
+    return emi_metric(channel.input_size, channel.output_size)

@@ -70,13 +70,6 @@ class Codebook:
     def rate(self) -> float:
         return math.log(self.size) / self.blocklength
 
-    @staticmethod
-    def from_words(words) -> "Codebook":
-        w = np.asarray(words, dtype=np.int64)
-        kx = int(w.max()) + 1
-        counts = np.bincount(w[0], minlength=kx)
-        return Codebook(w, Distribution(counts / w.shape[1]))
-
 
 @dataclass(frozen=True)
 class SimConfig:

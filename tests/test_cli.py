@@ -1,10 +1,12 @@
 """Command-line behavior: configs, formats, exit codes."""
 
+import argparse
 import json
 import math
 
 import pytest
 
+from gldx import cli
 from gldx.cli import main
 from gldx.verify import CheckResult
 
@@ -396,6 +398,12 @@ class TestExitCodes:
             ("simulate", "workers", "1"),
             ("simulate", "resolution", 12.5),
             ("simulate", "resolution", True),
+            ("exponent", "rate", True),
+            ("simulate", "rate", "0.2"),
+            ("exponent", "rho_max", True),
+            ("sweep", "rho_max", "2"),
+            ("exponent", "output", 2),
+            ("exponent", "output", True),
         ],
     )
     def test_rejects_mistyped_config_value(self, tmp_path, capsys, command, field, value):
@@ -407,6 +415,59 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert "input error" in out.err and f"'{field}'" in out.err
         assert out.out == ""
+
+    @pytest.mark.parametrize(
+        "command, block, field, value",
+        [
+            ("simulate", "simulation", "n", 4.7),
+            ("simulate", "simulation", "M", 2.9),
+            ("simulate", "simulation", "trials", 100.5),
+            ("simulate", "simulation", "seed", 1.2),
+            ("simulate", "simulation", "epsilon", True),
+            ("simulate", "simulation", "epsilon", "0.1"),
+            ("sweep", "rate_range", "start", "0.1"),
+        ],
+    )
+    def test_rejects_mistyped_block_value(self, tmp_path, capsys, command, block, field, value):
+        # Each used to run: int() truncated the fractional numbers, and
+        # float() read the strings and booleans as numbers.
+        blocks = {
+            "simulation": {"n": 4, "M": 2, "trials": 100, "seed": 1},
+            "rate_range": {"start": 0.1, "stop": 0.2},
+        }
+        payload = {"channel": BSC, "metric": {"kind": "matched"}, "resolution": 8}
+        payload[block] = dict(blocks[block], **{field: value})
+        cfg = write_config(tmp_path, "typed_block.json", payload)
+        assert main([command, "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert "input error" in out.err and f"'{field}'" in out.err
+        assert out.out == ""
+
+    def test_every_flag_overrides_a_listed_field(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(cli._SCHEMA) | {"verify"}
+        for command, schema in cli._SCHEMA.items():
+            for action in sub.choices[command]._actions:
+                if action.dest in ("help", "config"):
+                    continue
+                flag = action.option_strings[0]
+                listed = schema if action.dest in schema else schema.get("simulation", ({}, None))[0]
+                assert action.dest in listed, f"{command} {flag}"
+                value = action.choices[0] if action.choices else (action.type or str)("3")
+                cfg = cli._load_config(parser.parse_args([command, flag, str(value)]))
+                where = cfg if action.dest in schema else cfg["simulation"]
+                assert where[action.dest] == value, f"{command} {flag}"
+
+    def test_integral_rate_reported_as_float(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "int_rate.json",
+            {"channel": BSC, "metric": {"kind": "matched"}, "rate": 1, "resolution": 8,
+             "simulation": {"n": 4, "M": 2, "trials": 100, "seed": 1}},
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        assert '"rate": 1.0,' in capsys.readouterr().out
 
     def test_integral_float_resolution_accepted(self, tmp_path, capsys):
         text = []

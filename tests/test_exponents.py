@@ -36,6 +36,7 @@ from gldx import (
     pairwise_confusion_exponent,
     rate_sweep,
 )
+from gldx.exponents import _descend
 from gldx.measures import mutual_information_stack
 from gldx.optimizer import enumerate_margin_tables, margin_counts
 
@@ -302,6 +303,26 @@ class TestPairwiseConfusion:
         m = matched_metric(noiseless)
         diag = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
         assert pairwise_confusion_exponent(diag, 0.2, noiseless, m, 8) == 0.0
+
+
+class TestDescend:
+    def test_rejected_commit_leaves_the_point(self):
+        # The probe sees a gain toward x[0] = 0.9, but the re-evaluation
+        # reads higher, so the step must not be taken.
+        x = np.array([0.5, 0.5])
+        proposed = []
+
+        def commit(cand, *_):
+            proposed.append(cand)
+            return 1.0
+
+        def f(z):
+            return (z[0] - 0.9) ** 2
+
+        cur, end = _descend(f, x, f(x), [np.array([1.0, -1.0])], 2, 1e-6, eps=1e-12, commit=commit)
+        assert proposed and proposed[0][0] > 0.8
+        assert cur == f(x)
+        assert np.array_equal(end, x)
 
 
 class TestOuterForms:

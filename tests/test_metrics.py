@@ -125,6 +125,24 @@ class TestFromJson:
         with pytest.raises(MetricError):
             metric_from_json({"kind": "nope"}, bsc)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "matched", "betta": 2},
+            {"kind": "mismatched", "kernel": [[0.8, 0.2], [0.3, 0.7]], "value": 1.0},
+            {"kind": "constant", "value": 0.5, "beta": 2.0},
+            {"kind": "emi", "beta": 1.0},
+            {"kind": "matched", "beta": "2"},
+            {"kind": "mismatched", "kernel": [[0.8, 0.2], [0.3, 0.7]], "beta": True},
+            {"kind": "constant", "value": "0.5"},
+        ],
+    )
+    def test_rejects_unread_or_mistyped_field(self, bsc, spec):
+        # Each used to build a metric: unread fields were ignored and
+        # float() parsed strings and booleans.
+        with pytest.raises(MetricError):
+            metric_from_json(spec, bsc)
+
     def test_kernel_shape_must_match_channel(self, bsc):
         spec = {"kind": "mismatched", "kernel": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]}
         with pytest.raises(MetricError):

@@ -41,11 +41,11 @@ class TestCodebook:
             Codebook(np.array([[0, 1, 0]]), Distribution.uniform(2))
 
     def test_rate(self):
-        code = Codebook.from_words([[0, 1], [1, 0]])
+        code = Codebook([[0, 1], [1, 0]], Distribution.uniform(2))
         assert code.rate == pytest.approx(math.log(2) / 2, abs=1e-15)
 
     def test_words_frozen(self):
-        code = Codebook.from_words([[0, 1], [1, 0]])
+        code = Codebook([[0, 1], [1, 0]], Distribution.uniform(2))
         with pytest.raises(ValueError):
             code.words[0, 0] = 1
 
@@ -89,7 +89,7 @@ class TestSampling:
 
 class TestPosterior:
     def test_proportional_to_exp_total_score(self, bsc):
-        code = Codebook.from_words([[0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 1]])
+        code = Codebook([[0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 1]], Distribution.uniform(2))
         m = matched_metric(bsc)
         y = np.array([0, 1, 1, 0])
         totals = np.array(
@@ -102,28 +102,28 @@ class TestPosterior:
 
     def test_all_forbidden_output_uniform(self, noiseless):
         # y disagrees with every word somewhere, so each matched score is -inf
-        code = Codebook.from_words([[0, 1], [1, 0]])
+        code = Codebook([[0, 1], [1, 0]], Distribution.uniform(2))
         got = gld_posterior(code, [0, 0], matched_metric(noiseless)).p
         assert np.allclose(got, 0.5)
 
     def test_emi_posterior_normalizes(self, wide):
-        code = Codebook.from_words([[0, 1, 0, 1], [1, 1, 0, 0]])
+        code = Codebook([[0, 1, 0, 1], [1, 1, 0, 0]], Distribution.uniform(2))
         got = gld_posterior(code, [2, 0, 1, 2], emi_metric(2, 3))
         assert got.p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_length_mismatch(self, bsc):
-        code = Codebook.from_words([[0, 1], [1, 0]])
+        code = Codebook([[0, 1], [1, 0]], Distribution.uniform(2))
         with pytest.raises(DistributionError):
             gld_posterior(code, [0, 1, 1], matched_metric(bsc))
 
     def test_decode_seeded(self, bsc):
-        code = Codebook.from_words([[0, 1, 0, 1], [1, 0, 0, 1]])
+        code = Codebook([[0, 1, 0, 1], [1, 0, 0, 1]], Distribution.uniform(2))
         m = matched_metric(bsc)
         picks = [gld_decode(code, [0, 1, 0, 1], m, np.random.default_rng(4)) for _ in range(3)]
         assert picks[0] == picks[1] == picks[2]
 
     def test_decode_frequencies_track_posterior(self, bsc):
-        code = Codebook.from_words([[0, 1, 0, 1], [1, 0, 0, 1], [1, 1, 0, 0]])
+        code = Codebook([[0, 1, 0, 1], [1, 0, 0, 1], [1, 1, 0, 0]], Distribution.uniform(2))
         m = matched_metric(bsc)
         y = [0, 1, 1, 0]
         post = gld_posterior(code, y, m).p
@@ -153,7 +153,7 @@ class TestExactError:
             exact_error_probability(code, 2, bsc, matched_metric(bsc))
 
     def test_noiseless_distinct_words_zero_error(self, noiseless):
-        code = Codebook.from_words([[0, 1, 0, 1], [1, 0, 1, 0]])
+        code = Codebook([[0, 1, 0, 1], [1, 0, 1, 0]], Distribution.uniform(2))
         err = exact_error_probability(code, 0, noiseless, matched_metric(noiseless))
         assert err == 0.0
 
