@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from .measures import Channel, Distribution, DistributionError
+from .measures import Channel, Distribution, DistributionError, is_number, number_array
 from .metrics import MetricError, metric_from_json
 from .optimizer import GridSpec, InfeasibleGridError
 from .exponents import ExponentQuery, exponent_form, rate_sweep
@@ -117,9 +117,8 @@ class ConfigError(ValueError):
 def _checked(where: str, cfg: dict, schema: dict) -> dict:
     """``cfg`` checked against ``schema``: each value read once as its type, defaults filled in.
 
-    A field the schema does not list, or a value of another JSON type,
-    is a ``ConfigError`` naming the field.  A number is never a boolean;
-    an integer field also takes an integral float such as 16.0.
+    A field the schema does not list, or a value of another JSON type
+    (numbers as ``is_number`` reads them), is a ``ConfigError`` naming the field.
     """
     unread = sorted(set(cfg) - set(schema))
     if unread:
@@ -130,10 +129,7 @@ def _checked(where: str, cfg: dict, schema: dict) -> dict:
             continue
         v = cfg.get(field, default)
         json_type = dict if isinstance(kind, dict) else kind
-        if json_type in (int, float):
-            ok = isinstance(v, (int, float)) and not isinstance(v, bool) and (kind is float or v % 1 == 0)
-        else:
-            ok = isinstance(v, json_type)
+        ok = is_number(v, kind is int) if json_type in (int, float) else isinstance(v, json_type)
         if not ok:
             raise ConfigError(f"config field {field!r} must be {_TYPE_NAMES[json_type]}, got {v!r}")
         if isinstance(kind, dict):
@@ -176,12 +172,10 @@ def _composition_from_config(cfg: dict, channel: Channel) -> Distribution:
     comp = cfg.get("composition")
     if comp is None:
         return Distribution.uniform(channel.input_size)
-    q = Distribution(np.asarray(comp, dtype=np.float64))
-    if q.size != channel.input_size:
-        raise ConfigError(
-            f"composition has {q.size} symbols but the channel has {channel.input_size} inputs"
-        )
-    return q
+    q = number_array(comp)
+    if q is None or q.shape != (channel.input_size,):
+        raise ConfigError(f"composition must list one number per channel input ({channel.input_size}), got {comp!r}")
+    return Distribution(q)
 
 
 def cmd_exponent(cfg: dict) -> int:
@@ -275,10 +269,11 @@ def cmd_simulate(cfg: dict) -> int:
     if "codewords" in sim:
         # Explicit words fix n and M; without a config composition, the
         # first word's type is the code composition.
-        words = np.asarray(sim["codewords"], dtype=np.int64)
+        words = number_array(sim["codewords"], integer=True)
         kx = channel.input_size
-        if words.ndim != 2 or words.size == 0 or words.min() < 0 or words.max() >= kx:
+        if words is None or words.ndim != 2 or words.size == 0 or words.min() < 0 or words.max() >= kx:
             raise ConfigError(f"codewords must be equal-length words over the {kx} channel inputs")
+        words = words.astype(np.int64)
         sim = dict(sim, n=words.shape[1], M=words.shape[0])
         if "composition" not in cfg:
             counts = np.bincount(words[0], minlength=kx)

@@ -165,6 +165,8 @@ class CompetitorScoreEvaluator:
     """
 
     def __init__(self, metric: Metric, rate: float, y_size: int, resolution: int):
+        if resolution < 2:
+            raise DistributionError(f"grid resolution must be >= 2, got {resolution}")
         if rate < 0:
             raise DistributionError(f"rate must be >= 0, got {rate}")
         if metric.y_size != y_size:

@@ -20,6 +20,17 @@ class DistributionError(ValueError):
     """Raised when a probability object fails validation."""
 
 
+def is_number(v, integer: bool = False) -> bool:
+    """The JSON number rule: never a boolean or a string; an integer is an integral number (16.0 counts)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and (not integer or v % 1 == 0)
+
+
+def number_array(v, integer: bool = False) -> np.ndarray | None:
+    """A JSON number or nested list as a float array; None if an entry breaks ``is_number``."""
+    a = np.asarray(v, dtype=object)
+    return a.astype(np.float64) if all(is_number(x, integer) for x in a.flat) else None
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
@@ -117,15 +128,17 @@ class Channel:
     def from_json(obj: dict) -> "Channel":
         """Build a channel from ``{"input_size", "output_size", "matrix"}``.
 
-        Rows must sum to one within 1e-9; the offending row and its sum are
-        reported otherwise.
+        Sizes are integers and entries numbers (``is_number``); rows must sum
+        to one within 1e-9, else the offending row and its sum are reported.
         """
         try:
-            k = int(obj["input_size"])
-            l = int(obj["output_size"])
-            m = np.asarray(obj["matrix"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+            k, l, m = obj["input_size"], obj["output_size"], number_array(obj["matrix"])
+        except (KeyError, TypeError) as exc:
             raise DistributionError(f"malformed channel object: {exc}") from exc
+        if not (is_number(k, integer=True) and is_number(l, integer=True)):
+            raise DistributionError(f"channel input_size and output_size must be integers, got {k!r} and {l!r}")
+        if m is None:
+            raise DistributionError("channel matrix entries must be numbers")
         if m.shape != (k, l):
             raise DistributionError(
                 f"channel matrix shape {m.shape} does not match sizes ({k}, {l})"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import Channel, DistributionError, JointDistribution, mutual_information
+from .measures import Channel, DistributionError, JointDistribution, is_number, mutual_information
 
 
 class MetricError(ValueError):
@@ -164,7 +164,7 @@ _FIELDS = {
 
 def _number(obj: dict, field: str, default: float) -> float:
     v = obj.get(field, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not is_number(v):
         raise MetricError(f"metric field {field!r} must be a number, got {v!r}")
     return float(v)
 
@@ -194,7 +194,7 @@ def metric_from_json(obj: dict, channel: Channel | None = None) -> Metric:
     if kind == "mismatched":
         if "kernel" not in obj:
             raise MetricError("mismatched metric requires a 'kernel' matrix")
-        kern = np.asarray(obj["kernel"], dtype=np.float64)
+        kern = np.asarray(obj["kernel"], dtype=object)  # for its shape; from_json checks the entries
         try:
             kern_channel = Channel.from_json(
                 {

@@ -232,8 +232,10 @@ def ordered_chunk_map(
 
     Chunk boundaries depend only on chunk_size, never on the worker
     count, so any downstream reduction done in list order is bit-stable
-    across worker counts.
+    across worker counts.  ``workers`` must be at least 1.
     """
+    if workers < 1:
+        raise DistributionError(f"workers must be >= 1, got {workers}")
     spans = [(s, min(s + chunk_size, n_items)) for s in range(0, n_items, chunk_size)]
     if not spans:
         return []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import Channel, Distribution, DistributionError, mutual_information_stack
-from .metrics import Metric
+from .metrics import Metric, matched_metric
 from .exponents import CompetitorScoreEvaluator
 from .optimizer import digits, integral_counts, ordered_chunk_map
 
@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 
 _MC_BLOCK = 4096  # trials per derived stream; fixed so workers cannot matter
 _ENUM_BUDGET = 1 << 24
+_ENUM_CHUNK = 1 << 14  # outputs per enumeration chunk; fixed so workers cannot matter
 _BLOCKLENGTH_SPAN = 10_000  # farthest nearest_valid_blocklength looks from n
 
 
@@ -149,18 +150,26 @@ def sample_code(q_x: Distribution, n: int, M: int, rng: np.random.Generator) -> 
 # Decoder.
 
 
+def _max_shift(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima (0 for an all -inf row) and exp(scores - max), with -inf scores at 0."""
+    mx = np.max(scores, axis=-1, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    return mx, np.where(np.isneginf(scores), 0.0, np.exp(scores - mx))
+
+
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction; all -inf rows go uniform."""
-    m = scores.shape[-1]
-    mx = np.max(scores, axis=-1, keepdims=True)
-    degenerate = ~np.isfinite(mx[..., 0])
-    with np.errstate(invalid="ignore"):
-        shifted = np.where(np.isfinite(mx), scores - mx, 0.0)
-    e = np.exp(shifted)
-    e = np.where(np.isneginf(scores), 0.0, e)
+    e = _max_shift(scores)[1]
     tot = e.sum(axis=-1, keepdims=True)
-    out = np.where(degenerate[..., None], 1.0 / m, e / np.where(tot > 0, tot, 1.0))
-    return out
+    return np.where(tot > 0, e / np.where(tot > 0, tot, 1.0), 1.0 / scores.shape[-1])
+
+
+def _inverse_cdf(p: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF draw along the last axis of p, one uniform u per row: the first
+    index whose cumulative mass exceeds u, else the last (rounding can leave the
+    total mass below u)."""
+    below = np.cumsum(p, axis=-1) <= np.asarray(u)[..., None]
+    return np.minimum(below.sum(axis=-1), p.shape[-1] - 1)
 
 
 def gld_posterior(codebook: Codebook, y, metric: Metric) -> Distribution:
@@ -181,10 +190,7 @@ def gld_posterior(codebook: Codebook, y, metric: Metric) -> Distribution:
 
 def gld_decode(codebook: Codebook, y, metric: Metric, rng: np.random.Generator) -> int:
     """One sample from gld_posterior, via a single inverse-CDF uniform."""
-    post = gld_posterior(codebook, y, metric)
-    u = rng.random()
-    c = np.cumsum(post.p)
-    return int(min(np.searchsorted(c, u, side="right"), codebook.size - 1))
+    return int(_inverse_cdf(gld_posterior(codebook, y, metric).p, rng.random()))
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +255,16 @@ def exact_error_probability(
     for i in msgs:
         if not (0 <= i < codebook.size):
             raise DistributionError(f"message index {i} out of range")
-    with np.errstate(divide="ignore"):
-        logw = np.where(channel.matrix > 0, np.log(np.where(channel.matrix > 0, channel.matrix, 1.0)), -math.inf)
+    sent, likelihood = codebook.words[msgs], matched_metric(channel)
 
     def chunk(start: int, stop: int) -> list[float]:
         ys = digits(np.arange(start, stop), l, n)
         post = _softmax_rows(_block_scores(codebook.words, ys, metric))
-        return [
-            float(np.dot(np.exp(logw[codebook.words[i][None, :], ys].sum(axis=1)), 1.0 - post[:, i]))
-            for i in msgs
-        ]
+        log_w = _block_scores(sent, ys, likelihood)  # ln W(y | word) per message
+        return [float(np.dot(np.exp(log_w[:, k]), 1.0 - post[:, i])) for k, i in enumerate(msgs)]
 
     # No messages, no pass: zero outputs give zero chunks and an empty list.
-    parts = ordered_chunk_map(chunk, l**n if msgs else 0, 1 << 14, workers)
+    parts = ordered_chunk_map(chunk, l**n if msgs else 0, _ENUM_CHUNK, workers)
     probs = [min(max(math.fsum(col), 0.0), 1.0) for col in zip(*parts)]
     return probs[0] if np.ndim(m) == 0 else probs
 
@@ -288,27 +291,17 @@ def monte_carlo_error(
     if not (0 <= m < codebook.size):
         raise DistributionError(f"message index {m} out of range")
     master = int(rng.integers(1 << 63))
-    word = codebook.words[m]
+    rows = channel.matrix[codebook.words[m]]  # W(. | x_t) for each position t
     n = codebook.blocklength
-    cumw = np.cumsum(channel.matrix, axis=1)
     n_blocks = (trials + _MC_BLOCK - 1) // _MC_BLOCK
 
-    def block(b0: int, b1: int) -> int:
-        errors = 0
-        for b in range(b0, b1):
-            count = min(_MC_BLOCK, trials - b * _MC_BLOCK)
-            sub = np.random.Generator(np.random.PCG64(np.random.SeedSequence((master, b))))
-            u = sub.random((count, n + 1))
-            ys = np.empty((count, n), dtype=np.int64)
-            for t in range(n):
-                ys[:, t] = np.searchsorted(cumw[word[t]], u[:, t], side="right")
-            np.clip(ys, 0, channel.output_size - 1, out=ys)
-            scores = _block_scores(codebook.words, ys, metric)
-            post = _softmax_rows(scores)
-            c = np.cumsum(post, axis=1)
-            picks = (c > u[:, n][:, None]).argmax(axis=1)
-            errors += int(np.sum(picks != m))
-        return errors
+    def block(b: int, _stop: int) -> int:
+        count = min(_MC_BLOCK, trials - b * _MC_BLOCK)
+        sub = np.random.Generator(np.random.PCG64(np.random.SeedSequence((master, b))))
+        u = sub.random((count, n + 1))
+        ys = _inverse_cdf(rows, u[:, :n])
+        picks = _inverse_cdf(_softmax_rows(_block_scores(codebook.words, ys, metric)), u[:, n])
+        return int(np.sum(picks != m))
 
     parts = ordered_chunk_map(block, n_blocks, 1, workers)
     p = sum(parts) / trials
@@ -358,9 +351,7 @@ def check_good_code(
         types = np.zeros((c, l), dtype=np.int64)
         np.add.at(types, (np.repeat(np.arange(c), n), ys.reshape(-1)), 1)
         floors = evaluator.value_grid(types, n)
-        mx = scores.max(axis=1, keepdims=True)
-        mx = np.where(np.isfinite(mx), mx, 0.0)
-        e = np.where(np.isneginf(scores), 0.0, np.exp(scores - mx))
+        mx, e = _max_shift(scores)
         tot = e.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore"):
             rest = np.maximum(tot - e, 0.0)
@@ -371,7 +362,7 @@ def check_good_code(
 
     if exhaustive:
         checked = l**n
-        parts = ordered_chunk_map(lambda s, e: scan(digits(np.arange(s, e), l, n)), checked, 1 << 14, workers)
+        parts = ordered_chunk_map(lambda s, e: scan(digits(np.arange(s, e), l, n)), checked, _ENUM_CHUNK, workers)
     else:
         gen = rng if rng is not None else np.random.default_rng(0)
         checked = min(samples, l**n)

@@ -443,6 +443,77 @@ class TestExitCodes:
         assert "input error" in out.err and f"'{field}'" in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize(
+        "block, field, value, needle",
+        [
+            ("simulation", "codewords", [[0.7, 1.2, 0, 1], [1, 0, 1.9, 0]], "codewords must be equal-length words"),
+            ("simulation", "codewords", [[True, False, False, True], [False, True, True, False]], "codewords must be"),
+            ("simulation", "codewords", [["0", "1", "0", "1"], ["1", "0", "1", "0"]], "codewords must be"),
+            (None, "composition", ["0.5", "0.5"], "composition"),
+            ("channel", "matrix", [[True, 0], [0, True]], "channel matrix entries must be numbers"),
+            ("channel", "matrix", [["0.9", 0.1], [0.1, 0.9]], "channel matrix entries must be numbers"),
+            ("channel", "input_size", 2.9, "input_size"),
+            ("channel", "input_size", "2", "input_size"),
+            ("channel", "output_size", True, "output_size"),
+            ("metric", "kernel", [["0.8", "0.2"], [0.2, 0.8]], "bad decoding kernel"),
+        ],
+    )
+    def test_rejects_list_entry_that_is_not_a_number(self, tmp_path, capsys, block, field, value, needle):
+        # Each used to run: the entries were cast with np.asarray or int(),
+        # which truncated the fractions and read booleans and strings as numbers.
+        payload = {
+            "channel": dict(BSC),
+            "metric": {"kind": "mismatched", "kernel": [[0.8, 0.2], [0.2, 0.8]]},
+            "rate": 0.2,
+            "resolution": 8,
+            "simulation": {"n": 4, "M": 2, "trials": 100, "seed": 1},
+        }
+        if block is None:
+            payload[field] = value
+        else:
+            payload[block] = dict(payload[block], **{field: value})
+        cfg = write_config(tmp_path, "entries.json", payload)
+        assert main(["simulate", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert "input error" in out.err and needle in out.err
+        assert out.out == ""
+
+    def test_integral_float_entries_still_run(self, tmp_path, capsys):
+        text = []
+        for words, size in (([[0, 1, 0, 1], [1, 0, 1, 0]], 2), ([[0.0, 1.0, 0, 1], [1, 0, 1, 0]], 2.0)):
+            cfg = write_config(
+                tmp_path,
+                "integral_entries.json",
+                {"channel": dict(BSC, input_size=size), "metric": {"kind": "matched"}, "rate": 0.2,
+                 "resolution": 8, "simulation": {"codewords": words, "trials": 100, "seed": 1}},
+            )
+            assert main(["simulate", "--config", cfg]) == 0
+            text.append(capsys.readouterr().out)
+        assert text[0] == text[1]
+
+    @pytest.mark.parametrize(
+        "mode, flags, field",
+        [
+            ("exact", ["--resolution", "-5", "--workers", "-3"], "workers"),
+            ("exact", ["--resolution", "1"], "resolution"),
+            ("exact", ["--workers", "0"], "workers"),
+            ("mc", ["--workers", "0"], "workers"),
+        ],
+    )
+    def test_simulate_rejects_out_of_range_grid(self, tmp_path, capsys, mode, flags, field):
+        # Each used to run: workers below 1 ran serially, and the good-code
+        # check read its floor off the vertex-only grid.
+        cfg = write_config(
+            tmp_path,
+            "sim_range.json",
+            {"channel": BSC, "metric": {"kind": "matched"}, "rate": 0.2,
+             "simulation": {"n": 4, "M": 2, "trials": 100, "seed": 1, "mode": mode}},
+        )
+        assert main(["simulate", "--config", cfg, *flags]) == 2
+        out = capsys.readouterr()
+        assert "input error" in out.err and field in out.err
+        assert out.out == ""
+
     def test_every_flag_overrides_a_listed_field(self):
         parser = cli._build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

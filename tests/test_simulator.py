@@ -24,7 +24,7 @@ from gldx import (
     monte_carlo_error,
     sample_code,
 )
-from gldx.simulator import nearest_valid_blocklength
+from gldx.simulator import _inverse_cdf, nearest_valid_blocklength
 
 
 class TestCodebook:
@@ -133,6 +133,45 @@ class TestPosterior:
         freq = counts / n
         sigma = np.sqrt(post * (1 - post) / n)
         assert np.all(np.abs(freq - post) <= 5 * np.maximum(sigma, 1e-9))
+
+
+class TestInverseCdf:
+    def test_draw_past_the_rounded_mass_picks_the_last_index(self):
+        # Ten masses of 0.1 add up to nextafter(1, 0), so a uniform that
+        # large lies past the total mass; the draw falls to the last index.
+        p, u = np.full(10, 0.1), np.nextafter(1.0, 0.0)
+        assert np.cumsum(p)[-1] == u
+        assert _inverse_cdf(p, u) == 9
+        assert _inverse_cdf(np.stack([p, p, p]), np.array([u, 0.05, 0.1])).tolist() == [9, 0, 1]
+
+    def test_decode_past_the_rounded_mass(self):
+        class Fixed:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        words = [w for w in np.ndindex(2, 2, 2, 2, 2, 2) if sum(w) == 3][:10]
+        code = Codebook(words, Distribution.uniform(2))
+        assert gld_decode(code, [0] * 6, constant_metric(2, 2), Fixed()) == 9
+
+
+class TestGridRange:
+    def test_workers_below_one_rejected(self, bsc, unif2):
+        code = sample_code(unif2, 4, 2, np.random.default_rng(7))
+        m = matched_metric(bsc)
+        with pytest.raises(DistributionError, match="workers"):
+            exact_error_probability(code, 0, bsc, m, workers=0)
+        with pytest.raises(DistributionError, match="workers"):
+            monte_carlo_error(code, 0, bsc, m, 100, np.random.default_rng(1), workers=-3)
+        with pytest.raises(DistributionError, match="workers"):
+            check_good_code(code, 0.05, m, 0.2, workers=0)
+
+    @pytest.mark.parametrize("metric", ["matched", "emi"])
+    def test_floor_resolution_below_two_rejected(self, bsc, unif2, metric):
+        # emi's floor needs no grid, but the requested resolution is checked all the same
+        code = sample_code(unif2, 4, 2, np.random.default_rng(7))
+        m = matched_metric(bsc) if metric == "matched" else emi_metric(2, 2)
+        with pytest.raises(DistributionError, match="resolution"):
+            check_good_code(code, 0.05, m, 0.2, floor_resolution=1)
 
 
 class TestExactError:
@@ -353,3 +392,42 @@ class TestEmpiricalExponent:
         for rec in a:
             assert set(rec) == {"n", "M", "effective_rate", "best_max_error", "exponent"}
             assert rec["effective_rate"] == pytest.approx(math.log(rec["M"]) / rec["n"])
+
+
+class TestPinnedOutputs:
+    """Values recorded before the simulator's draws and scores got one owner each."""
+
+    def test_exact_bsc_matched2(self, bsc, unif2):
+        code = sample_code(unif2, 12, 6, np.random.default_rng(41))
+        assert exact_error_probability(code, range(6), bsc, matched_metric(bsc, 2.0)) == [
+            0.10743785603263396,
+            0.021106485826903495,
+            0.12669002022667153,
+            0.05468088203850267,
+            0.12085185277522444,
+            0.1266900202266716,
+        ]
+
+    def test_exact_wide_emi(self, wide, unif2):
+        code = sample_code(unif2, 8, 4, np.random.default_rng(42))
+        assert exact_error_probability(code, range(4), wide, emi_metric(2, 3)) == [
+            0.47328925278228706,
+            0.4731966966674488,
+            0.4304882057285072,
+            0.43210435766437405,
+        ]
+
+    def test_monte_carlo(self, bsc, unif2):
+        code = sample_code(unif2, 8, 4, np.random.default_rng(43))
+        est = monte_carlo_error(code, 1, bsc, matched_metric(bsc), 5000, np.random.default_rng(44))
+        assert est == (0.121, 0.004612136164512058)
+
+    def test_decode_draws(self, bsc, unif2):
+        code = sample_code(unif2, 6, 5, np.random.default_rng(45))
+        m, y, rng = matched_metric(bsc, 0.25), [0, 1, 1, 0, 1, 0], np.random.default_rng(46)
+        draws = "".join(str(gld_decode(code, y, m, rng)) for _ in range(200))
+        assert draws == (
+            "40144044344340440032140143340444443401143130343331410304431344404233041344413423"
+            "04343444241044203342443103431341404003433114342140444431300411124410404410414440"
+            "4013424410440111124433031344441344444103"
+        )
