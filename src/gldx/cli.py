@@ -265,6 +265,7 @@ def cmd_simulate(cfg: dict) -> int:
     metric = _metric_from_config(cfg, channel)
     comp = _composition_from_config(cfg, channel)
     workers, resolution, sim = cfg["workers"], cfg["resolution"], cfg["simulation"]
+    GridSpec(resolution, workers=workers)  # checks both before any work
     words = None
     if "codewords" in sim:
         # Explicit words fix n and M; without a config composition, the
@@ -357,6 +358,17 @@ def cmd_verify(level: str, workers: int) -> int:
     return 0 if all(r.ok for r in results) else 4
 
 
+def _number_flag(text: str) -> float:
+    """A number flag, read by the same rule as a config number."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = None
+    if not is_number(v):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return v
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gldx",
@@ -366,13 +378,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--rate", type=float, help="override the rate (nats)")
+        p.add_argument("--rate", type=_number_flag, help="override the rate (nats)")
         p.add_argument("--resolution", type=int, help="override the grid resolution")
         p.add_argument("--workers", type=int, help="worker threads (default 1)")
         p.add_argument("--output", help="output file (default stdout)")
 
     def rho_max(p):
-        p.add_argument("--rho-max", dest="rho_max", type=float, help="override the tilt cap")
+        p.add_argument("--rho-max", dest="rho_max", type=_number_flag, help="override the tilt cap")
 
     p_exp = sub.add_parser("exponent", help="compute both exponent forms at one rate")
     common(p_exp)
@@ -387,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--m", dest="M", type=int, help="override the code size M")
     p_sim.add_argument("--trials", type=int, help="override Monte Carlo trials")
     p_sim.add_argument("--seed", type=int, help="override the RNG seed")
-    p_sim.add_argument("--epsilon", type=float, help="override the good-code back-off")
+    p_sim.add_argument("--epsilon", type=_number_flag, help="override the good-code back-off")
     p_ver = sub.add_parser("verify", help="run the self-check suites")
     p_ver.add_argument("--level", choices=("quick", "full"), default="quick")
     p_ver.add_argument("--workers", type=int, default=1)

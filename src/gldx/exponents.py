@@ -41,7 +41,6 @@ from .measures import (
     JointDistribution,
     compositions,
     entropy_rows,
-    mutual_information_array,
     mutual_information_stack,
 )
 from .metrics import Metric
@@ -751,7 +750,7 @@ def _prepare(query: ExponentQuery, grid: GridSpec) -> _Pipeline:
             f"no couplings with both marginals at resolution {k}: resolution too coarse"
         )
     couplings = [t.astype(np.float64) / k for t in tables]
-    info = np.array([mutual_information_array(p) for p in couplings])
+    info = mutual_information_stack(np.stack(couplings))
     ev = CompetitorScoreEvaluator(
         query.metric, query.rate, query.channel.output_size, k
     )
@@ -792,7 +791,7 @@ def _polish_coupling(
     warm = first.kernels
 
     def objective(conf: float, joint: np.ndarray) -> float:
-        info = mutual_information_array(joint)
+        info = float(mutual_information_stack(joint[None])[0])
         if rho is None:
             if info > rate + INFO_SLACK:
                 return math.inf
@@ -978,7 +977,7 @@ def exchanged_objective(
                 lin -= v * math.log(w[x, y] * comp[x] * comp[xp])
     neg_entropy = -float(entropy_rows(q.reshape(-1)))
     pair = q.sum(axis=2)
-    penalty = rho * (mutual_information_array(pair) - rate)
+    penalty = rho * (float(mutual_information_stack(pair[None])[0]) - rate)
     joint_first = q.sum(axis=1)
     joint_second = q.sum(axis=0)
     g1 = metric.score_array(joint_first)

@@ -7,6 +7,7 @@ x*ln(x/0) = +inf for x > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,8 +22,14 @@ class DistributionError(ValueError):
 
 
 def is_number(v, integer: bool = False) -> bool:
-    """The JSON number rule: never a boolean or a string; an integer is an integral number (16.0 counts)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and (not integer or v % 1 == 0)
+    """The JSON number rule: never a boolean or a string, always a finite float (not NaN,
+    Infinity or 10**400); an integer is an integral number (16.0 counts)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v) and (not integer or v % 1 == 0)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def number_array(v, integer: bool = False) -> np.ndarray | None:
@@ -37,11 +44,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_prob_vector(values, tol: float = SUM_TOL) -> np.ndarray:
+def _as_prob_vector(values) -> np.ndarray:
     """Validate and normalize a probability vector.
 
     Entries must be nonnegative up to roundoff and sum to one within
-    ``tol``.  Residue within the tolerance is normalized away; anything
+    ``SUM_TOL``.  Residue within the tolerance is normalized away; anything
     beyond is rejected.
     """
     a = np.asarray(values, dtype=np.float64)
@@ -49,12 +56,12 @@ def _as_prob_vector(values, tol: float = SUM_TOL) -> np.ndarray:
         raise DistributionError(f"expected a nonempty 1-D vector, got shape {a.shape}")
     if np.any(np.isnan(a)):
         raise DistributionError("probability vector contains NaN")
-    if np.any(a < -tol):
+    if np.any(a < -SUM_TOL):
         raise DistributionError(f"negative probability entry: min={a.min():.3e}")
     a = np.maximum(a, 0.0)
     s = float(a.sum())
-    if abs(s - 1.0) > tol:
-        raise DistributionError(f"probabilities sum to {s!r}, expected 1 within {tol:g}")
+    if abs(s - 1.0) > SUM_TOL:
+        raise DistributionError(f"probabilities sum to {s!r}, expected 1 within {SUM_TOL:g}")
     if s != 1.0 and s > 0.0:
         a = a / s
     return a
@@ -143,7 +150,7 @@ class Channel:
             raise DistributionError(
                 f"channel matrix shape {m.shape} does not match sizes ({k}, {l})"
             )
-        if np.any(np.isnan(m)) or np.any(m < -1e-9):
+        if np.any(m < -1e-9):
             raise DistributionError("channel matrix entries must be nonnegative")
         sums = m.sum(axis=1)
         bad = np.where(np.abs(sums - 1.0) > 1e-9)[0]
@@ -156,36 +163,30 @@ class Channel:
         m = m / m.sum(axis=1, keepdims=True)
         return Channel.from_matrix(m)
 
-    def to_json(self) -> dict:
-        return {
-            "input_size": self.input_size,
-            "output_size": self.output_size,
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Information measures.
 
 
-def _entropy_arr(a: np.ndarray) -> float:
-    v = a[a > 0]
-    return max(0.0, -float(np.dot(v, np.log(v))))
-
-
-def entropy(dist: Distribution) -> float:
-    """Shannon entropy in nats; lies in [0, ln(size)]."""
-    return _entropy_arr(dist.p)
-
-
 def entropy_rows(a: np.ndarray) -> np.ndarray:
-    """Entropy along the last axis, one value per row; not clamped."""
+    """Entropy along the last axis, one value per row; not clamped.  The one entropy kernel."""
     safe = np.where(a > 0, a, 1.0)
     return -np.sum(a * np.log(safe), axis=-1)
 
 
+def entropy(dist: Distribution) -> float:
+    """Shannon entropy in nats; lies in [0, ln(size)]."""
+    return max(0.0, float(entropy_rows(dist.p)))
+
+
 def mutual_information_stack(j: np.ndarray) -> np.ndarray:
-    """I(row; col) of each joint in a (B, rows, cols) stack; clamped at zero."""
+    """I(row; col) of each joint in a (B, rows, cols) stack; clamped at zero.
+
+    The one mutual-information kernel: H(row) + H(col) - H(joint) per
+    joint, with tiny negative rounding residue clamped away because the
+    quantity is nonnegative.  The caller guarantees each joint is valid
+    (nonnegative, sums to one).
+    """
     hx = entropy_rows(j.sum(axis=2))
     hy = entropy_rows(j.sum(axis=1))
     hxy = entropy_rows(j.reshape(j.shape[0], -1))
@@ -193,24 +194,8 @@ def mutual_information_stack(j: np.ndarray) -> np.ndarray:
 
 
 def mutual_information(joint: JointDistribution) -> float:
-    """I(row; col) of a joint matrix, in nats; clamped at zero.
-
-    The value is computed as H(row) + H(col) - H(joint); tiny negative
-    rounding residue is clamped away because the quantity is nonnegative.
-    """
-    return mutual_information_array(joint.p)
-
-
-def mutual_information_array(p: np.ndarray) -> float:
-    """Mutual information of a joint given as a plain 2-D array.
-
-    Fast path for optimization loops; the caller guarantees ``p`` is a
-    valid joint (nonnegative, sums to one).
-    """
-    h_row = _entropy_arr(p.sum(axis=1))
-    h_col = _entropy_arr(p.sum(axis=0))
-    h_joint = _entropy_arr(p.reshape(-1))
-    return max(0.0, h_row + h_col - h_joint)
+    """I(row; col) of a joint matrix, in nats; clamped at zero."""
+    return float(mutual_information_stack(joint.p[None])[0])
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,6 @@ class AffineMetric:
     """
 
     cells: np.ndarray
-    name: str = "affine"
 
     def __post_init__(self) -> None:
         a = np.asarray(self.cells, dtype=np.float64)
@@ -86,7 +85,6 @@ class EmpiricalMutualInformationMetric:
 
     x_size: int
     y_size: int
-    name: str = "emi"
 
     def __post_init__(self) -> None:
         if self.x_size < 1 or self.y_size < 1:
@@ -123,7 +121,7 @@ def matched_metric(channel: Channel, beta: float = 1.0) -> AffineMetric:
     """Cell table beta*ln W(y|x) built from the channel itself."""
     if not (beta > 0):
         raise MetricError(f"beta must be positive, got {beta!r}")
-    return AffineMetric(_log_cells(channel.matrix, beta), name=f"matched(beta={beta:g})")
+    return AffineMetric(_log_cells(channel.matrix, beta))
 
 
 def mismatched_metric(kernel, beta: float = 1.0) -> AffineMetric:
@@ -139,14 +137,14 @@ def mismatched_metric(kernel, beta: float = 1.0) -> AffineMetric:
         m = np.asarray(kernel, dtype=np.float64)
         if m.ndim != 2 or np.any(m < 0) or np.any(np.isnan(m)):
             raise MetricError("decoding kernel must be a nonnegative 2-D matrix")
-    return AffineMetric(_log_cells(m, beta), name=f"mismatched(beta={beta:g})")
+    return AffineMetric(_log_cells(m, beta))
 
 
 def constant_metric(x_size: int, y_size: int, value: float = 0.0) -> AffineMetric:
     """A metric that scores every joint identically (blind decoding)."""
     if not math.isfinite(value):
         raise MetricError("constant metric value must be finite")
-    return AffineMetric(np.full((x_size, y_size), float(value)), name="constant")
+    return AffineMetric(np.full((x_size, y_size), float(value)))
 
 
 def emi_metric(x_size: int, y_size: int) -> EmpiricalMutualInformationMetric:

@@ -66,10 +66,10 @@ class GridSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.resolution < 2:
-            raise DistributionError(f"grid resolution must be >= 2, got {self.resolution}")
         if self.workers < 1:
             raise DistributionError("workers must be >= 1")
+        if self.resolution < 2:
+            raise DistributionError(f"grid resolution must be >= 2, got {self.resolution}")
 
 
 def integral_counts(p: np.ndarray, k: int) -> np.ndarray | None:

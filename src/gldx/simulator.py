@@ -29,7 +29,8 @@ from .optimizer import digits, integral_counts, ordered_chunk_map
 log = logging.getLogger(__name__)
 
 _MC_BLOCK = 4096  # trials per derived stream; fixed so workers cannot matter
-_ENUM_BUDGET = 1 << 24
+_ENUM_BUDGET = 1 << 24  # outputs an exhaustive pass may enumerate
+_GOOD_CODE_SAMPLES = 20000  # outputs the good-code check samples past the budget
 _ENUM_CHUNK = 1 << 14  # outputs per enumeration chunk; fixed so workers cannot matter
 _BLOCKLENGTH_SPAN = 10_000  # farthest nearest_valid_blocklength looks from n
 
@@ -197,9 +198,9 @@ def gld_decode(codebook: Codebook, y, metric: Metric, rng: np.random.Generator) 
 # Error probability.
 
 
-def enumerable(l: int, n: int, budget: int = _ENUM_BUDGET) -> bool:
+def enumerable(l: int, n: int) -> bool:
     """Whether all l**n output blocks of length n fit the enumeration budget."""
-    return l**n <= budget
+    return l**n <= _ENUM_BUDGET
 
 
 def _block_scores(words: np.ndarray, ys: np.ndarray, metric: Metric) -> np.ndarray:
@@ -232,7 +233,6 @@ def exact_error_probability(
     m,
     channel: Channel,
     metric: Metric,
-    budget: int = _ENUM_BUDGET,
     workers: int = 1,
 ) -> float | list[float]:
     """Exact decoding error by full output enumeration.
@@ -246,9 +246,9 @@ def exact_error_probability(
     """
     n = codebook.blocklength
     l = channel.output_size
-    if not enumerable(l, n, budget):
+    if not enumerable(l, n):
         raise DistributionError(
-            f"output space {l}^{n} exceeds the enumeration budget {budget}; "
+            f"output space {l}^{n} exceeds the enumeration budget {_ENUM_BUDGET}; "
             "use monte_carlo_error instead"
         )
     msgs = [m] if np.ndim(m) == 0 else list(m)
@@ -319,8 +319,6 @@ def check_good_code(
     rate: float | None = None,
     *,
     floor_resolution: int = 16,
-    budget: int = _ENUM_BUDGET,
-    samples: int = 20000,
     rng: np.random.Generator | None = None,
     workers: int = 1,
 ) -> GoodCodeReport:
@@ -343,7 +341,7 @@ def check_good_code(
     if epsilon < 0 or epsilon > r:
         raise DistributionError(f"epsilon must lie in [0, rate]; got {epsilon} vs rate {r:g}")
     evaluator = CompetitorScoreEvaluator(metric, r - epsilon, l, floor_resolution)
-    exhaustive = enumerable(l, n, budget)
+    exhaustive = enumerable(l, n)
 
     def scan(ys: np.ndarray) -> tuple[float, tuple[int, tuple[int, ...]]]:
         scores = _block_scores(codebook.words, ys, metric)  # (C, M)
@@ -365,7 +363,7 @@ def check_good_code(
         parts = ordered_chunk_map(lambda s, e: scan(digits(np.arange(s, e), l, n)), checked, _ENUM_CHUNK, workers)
     else:
         gen = rng if rng is not None else np.random.default_rng(0)
-        checked = min(samples, l**n)
+        checked = _GOOD_CODE_SAMPLES
         parts = [scan(gen.integers(0, l, size=(checked, n), dtype=np.int64))]
     worst, witness = math.inf, (0, (0,) * n)
     for margin, where in parts:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import Channel, Distribution
+from .measures import Channel, Distribution, DistributionError
 from .metrics import AffineMetric, constant_metric, emi_metric, matched_metric
 from .optimizer import GridSpec
 from .exponents import (
@@ -53,7 +53,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class PropertyCheck:
     name: str
-    description: str
     levels: tuple[str, ...]
     fn: Callable[[int], tuple[bool, str]]
 
@@ -81,6 +80,7 @@ def _random_coupling(rng: np.random.Generator, comp: np.ndarray) -> np.ndarray:
 
 
 def _check_posterior(workers: int) -> tuple[bool, str]:
+    """Decoder posterior sums to 1 and ignores constant score shifts."""
     rng = np.random.default_rng(11)
     code = sample_code(_UNIF2, 6, 4, rng)
     worst_sum = 0.0
@@ -97,6 +97,7 @@ def _check_posterior(workers: int) -> tuple[bool, str]:
 
 
 def _check_constant_closure(workers: int) -> tuple[bool, str]:
+    """Constant metric gives zero exponents and (M-1)/M exact error."""
     rng = np.random.default_rng(23)
     metric = constant_metric(2, 2, value=0.3)
     query = ExponentQuery(0.2, _UNIF2, _BSC01, metric)
@@ -110,6 +111,7 @@ def _check_constant_closure(workers: int) -> tuple[bool, str]:
 
 
 def _check_grid_oracle(workers: int) -> tuple[bool, str]:
+    """Grid pipeline matches the brute-force oracle at equal resolution."""
     rng = np.random.default_rng(37)
     worst = 0.0
     for _ in range(5):
@@ -127,8 +129,10 @@ def _check_grid_oracle(workers: int) -> tuple[bool, str]:
     return worst <= 1e-9, f"max |grid - oracle| = {worst:.2e} over 5 instances"
 
 
-def _check_midpoint(workers: int, pairs: int = 100) -> tuple[bool, str]:
+def _check_midpoint(workers: int) -> tuple[bool, str]:
+    """Exchanged objective is midpoint convex for an affine score."""
     rng = np.random.default_rng(41)
+    pairs = 100
     rate = 0.3
     metric = matched_metric(_BSC01)
     evaluator = CompetitorScoreEvaluator(metric, rate, 2, 16)
@@ -152,6 +156,7 @@ def _check_midpoint(workers: int, pairs: int = 100) -> tuple[bool, str]:
 
 
 def _check_exact_vs_mc(workers: int) -> tuple[bool, str]:
+    """Monte Carlo error agrees with exact enumeration within 4 sigma."""
     rng = np.random.default_rng(53)
     metric = matched_metric(_BSC01)
     code = sample_code(_UNIF2, 4, 3, rng)
@@ -163,6 +168,7 @@ def _check_exact_vs_mc(workers: int) -> tuple[bool, str]:
 
 
 def _check_markov(workers: int) -> tuple[bool, str]:
+    """Expurgation inequality holds on random codes."""
     rng = np.random.default_rng(61)
     metric = matched_metric(_BSC01)
     for i in range(10):
@@ -176,6 +182,7 @@ def _check_markov(workers: int) -> tuple[bool, str]:
 
 
 def _check_good_code_constant(workers: int) -> tuple[bool, str]:
+    """Good-code check matches the constant-metric closed form."""
     rng = np.random.default_rng(71)
     metric = constant_metric(2, 2, value=0.1)
     code = sample_code(_UNIF2, 6, 4, rng)
@@ -200,6 +207,7 @@ def _duality_instance(channel: Channel, metric, rate: float, workers: int) -> tu
 
 
 def _check_duality_small(workers: int) -> tuple[bool, str]:
+    """Penalized form never exceeds constrained form (binary channel)."""
     metric = matched_metric(_BSC01)
     exp_v, max_v = _duality_instance(_BSC01, metric, 0.1, workers)
     if max_v > exp_v + 0.02:
@@ -209,6 +217,7 @@ def _check_duality_small(workers: int) -> tuple[bool, str]:
 
 
 def _check_duality_wide(workers: int) -> tuple[bool, str]:
+    """Duality and affine-exchange agreement on a 2x3 channel."""
     details = []
     for rate in (0.1, 0.3):
         metric = matched_metric(_WIDE)
@@ -227,66 +236,23 @@ def _check_duality_wide(workers: int) -> tuple[bool, str]:
 
 
 CHECKS: tuple[PropertyCheck, ...] = (
-    PropertyCheck(
-        "posterior-normalization",
-        "decoder posterior sums to 1 and ignores constant score shifts",
-        ("quick", "full"),
-        _check_posterior,
-    ),
-    PropertyCheck(
-        "constant-metric-closure",
-        "constant metric gives zero exponents and (M-1)/M exact error",
-        ("quick", "full"),
-        _check_constant_closure,
-    ),
-    PropertyCheck(
-        "grid-oracle-equivalence",
-        "grid pipeline matches the brute-force oracle at equal resolution",
-        ("quick", "full"),
-        _check_grid_oracle,
-    ),
-    PropertyCheck(
-        "midpoint-convexity",
-        "exchanged objective is midpoint convex for an affine score",
-        ("quick", "full"),
-        _check_midpoint,
-    ),
-    PropertyCheck(
-        "exact-vs-monte-carlo",
-        "Monte Carlo error agrees with exact enumeration within 4 sigma",
-        ("quick", "full"),
-        _check_exact_vs_mc,
-    ),
-    PropertyCheck(
-        "tilted-average-inequality",
-        "expurgation inequality holds on random codes",
-        ("quick", "full"),
-        _check_markov,
-    ),
-    PropertyCheck(
-        "good-code-constant-closed-form",
-        "good-code check matches the constant-metric closed form",
-        ("quick", "full"),
-        _check_good_code_constant,
-    ),
-    PropertyCheck(
-        "weak-duality-binary",
-        "penalized form never exceeds constrained form (binary channel)",
-        ("quick", "full"),
-        _check_duality_small,
-    ),
-    PropertyCheck(
-        "weak-duality-wide",
-        "duality and affine-exchange agreement on a 2x3 channel",
-        ("full",),
-        _check_duality_wide,
-    ),
+    PropertyCheck("posterior-normalization", ("quick", "full"), _check_posterior),
+    PropertyCheck("constant-metric-closure", ("quick", "full"), _check_constant_closure),
+    PropertyCheck("grid-oracle-equivalence", ("quick", "full"), _check_grid_oracle),
+    PropertyCheck("midpoint-convexity", ("quick", "full"), _check_midpoint),
+    PropertyCheck("exact-vs-monte-carlo", ("quick", "full"), _check_exact_vs_mc),
+    PropertyCheck("tilted-average-inequality", ("quick", "full"), _check_markov),
+    PropertyCheck("good-code-constant-closed-form", ("quick", "full"), _check_good_code_constant),
+    PropertyCheck("weak-duality-binary", ("quick", "full"), _check_duality_small),
+    PropertyCheck("weak-duality-wide", ("full",), _check_duality_wide),
 )
 
 
 def run_suite(level: str, workers: int = 1) -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError(f"unknown verification level {level!r}")
+    if workers < 1:
+        raise DistributionError("workers must be >= 1")
     results = []
     for check in CHECKS:
         if level not in check.levels:

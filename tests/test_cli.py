@@ -404,6 +404,11 @@ class TestExitCodes:
             ("sweep", "rho_max", "2"),
             ("exponent", "output", 2),
             ("exponent", "output", True),
+            ("exponent", "rate", math.nan),
+            ("exponent", "rate", math.inf),
+            pytest.param("exponent", "rate", 10**400, id="exponent-rate-1e400"),
+            ("exponent", "rho_max", math.inf),
+            pytest.param("simulate", "resolution", 10**400, id="simulate-resolution-1e400"),
         ],
     )
     def test_rejects_mistyped_config_value(self, tmp_path, capsys, command, field, value):
@@ -426,11 +431,16 @@ class TestExitCodes:
             ("simulate", "simulation", "epsilon", True),
             ("simulate", "simulation", "epsilon", "0.1"),
             ("sweep", "rate_range", "start", "0.1"),
+            ("simulate", "simulation", "epsilon", math.nan),
+            pytest.param("simulate", "simulation", "n", 10**400, id="simulate-simulation-n-1e400"),
+            ("sweep", "rate_range", "stop", math.inf),
         ],
     )
     def test_rejects_mistyped_block_value(self, tmp_path, capsys, command, block, field, value):
-        # Each used to run: int() truncated the fractional numbers, and
-        # float() read the strings and booleans as numbers.
+        # Each used to run: int() truncated the fractional numbers, float()
+        # read the strings and booleans as numbers, NaN ran as a number, an
+        # integer past the float range raised OverflowError, and a stop of
+        # Infinity never ended the rate list.
         blocks = {
             "simulation": {"n": 4, "M": 2, "trials": 100, "seed": 1},
             "rate_range": {"start": 0.1, "stop": 0.2},
@@ -456,11 +466,19 @@ class TestExitCodes:
             ("channel", "input_size", "2", "input_size"),
             ("channel", "output_size", True, "output_size"),
             ("metric", "kernel", [["0.8", "0.2"], [0.2, 0.8]], "bad decoding kernel"),
+            (None, "composition", [math.nan, 0.5], "composition"),
+            ("channel", "matrix", [[math.inf, 0.1], [0.1, 0.9]], "channel matrix entries must be numbers"),
+            pytest.param("channel", "input_size", 10**400, "input_size", id="channel-input_size-1e400"),
+            pytest.param("simulation", "codewords", [[0, 1, 0, 10**400], [1, 0, 1, 0]], "codewords must be",
+                         id="simulation-codewords-1e400"),
+            ("metric", "beta", math.inf, "'beta'"),
         ],
     )
     def test_rejects_list_entry_that_is_not_a_number(self, tmp_path, capsys, block, field, value, needle):
-        # Each used to run: the entries were cast with np.asarray or int(),
-        # which truncated the fractions and read booleans and strings as numbers.
+        # Each used to run or crash: the entries were cast with np.asarray or
+        # int(), which truncated the fractions and read booleans and strings as
+        # numbers; NaN and Infinity passed as numbers, and 10**400 raised
+        # OverflowError.
         payload = {
             "channel": dict(BSC),
             "metric": {"kind": "mismatched", "kernel": [[0.8, 0.2], [0.2, 0.8]]},
@@ -513,6 +531,46 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert "input error" in out.err and field in out.err
         assert out.out == ""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("exponent", "--rate", "nan"), ("sweep", "--rho-max", "inf"), ("simulate", "--epsilon", "Infinity")],
+    )
+    def test_rejects_non_finite_number_flag(self, exp_config, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", exp_config, flag, value])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert "finite number" in out.err and out.out == ""
+
+    @pytest.mark.parametrize("flags, field", [(["--resolution", "1"], "resolution"), (["--workers", "0"], "workers")])
+    def test_simulate_checks_grid_before_any_work(self, tmp_path, capsys, monkeypatch, flags, field):
+        # resolution used to be checked only by the good-code check, after
+        # the whole error pass had enumerated every output
+        def no_work(*_, **__):
+            raise AssertionError("work started before the grid check")
+
+        for name in ("sample_code", "exact_error_probability", "monte_carlo_error"):
+            monkeypatch.setattr(cli, name, no_work)
+        cfg = write_config(
+            tmp_path,
+            "sim_early.json",
+            {"channel": BSC, "metric": {"kind": "matched"}, "rate": 0.2,
+             "simulation": {"n": 4, "M": 2, "trials": 100, "seed": 1, "mode": "exact"}},
+        )
+        assert main(["simulate", "--config", cfg, *flags]) == 2
+        out = capsys.readouterr()
+        assert "input error" in out.err and field in out.err
+        assert out.out == ""
+
+    def test_verify_rejects_workers_below_one(self, capsys, monkeypatch):
+        # each check used to raise and count as a failure, so verify exited 4
+        ran = []
+        monkeypatch.setattr(cli.verify_mod, "CHECKS", (cli.verify_mod.PropertyCheck("probe", ("quick",), ran.append),))
+        assert main(["verify", "--workers", "0"]) == 2
+        out = capsys.readouterr()
+        assert "input error: workers must be >= 1" in out.err
+        assert out.out == "" and ran == []
 
     def test_every_flag_overrides_a_listed_field(self):
         parser = cli._build_parser()

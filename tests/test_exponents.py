@@ -36,8 +36,8 @@ from gldx import (
     pairwise_confusion_exponent,
     rate_sweep,
 )
-from gldx.exponents import _descend
-from gldx.measures import mutual_information_stack
+from gldx.exponents import _descend, _prepare
+from gldx.measures import mutual_information, mutual_information_stack
 from gldx.optimizer import enumerate_margin_tables, margin_counts
 
 
@@ -335,6 +335,14 @@ class TestOuterForms:
         assert res.value == res.expurgated_value
         assert res.gap == pytest.approx(res.expurgated_value - res.maxmin_value, abs=1e-15)
         assert not res.boundary_flag
+
+    @pytest.mark.parametrize("case, k", [("bsc", 16), ("wide", 8)])
+    def test_prepared_info_matches_one_joint_calls(self, bsc, wide, unif2, case, k):
+        # one stack call over all couplings gives each coupling's own value
+        channel = bsc if case == "bsc" else wide
+        pipe = _prepare(ExponentQuery(0.1, unif2, channel, matched_metric(channel)), GridSpec(k))
+        want = [mutual_information(JointDistribution(p)) for p in pipe.couplings]
+        assert len(want) > 1 and pipe.info.tolist() == want
 
     def test_bsc_matched_k16_forms_agree(self, bsc, unif2):
         query = ExponentQuery(0.1, unif2, bsc, matched_metric(bsc))

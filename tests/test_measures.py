@@ -14,7 +14,8 @@ from gldx import (
     entropy,
     mutual_information,
 )
-from gldx.measures import mutual_information_array, mutual_information_stack
+from gldx.measures import mutual_information_stack
+from gldx.oracles import _mutual_information
 
 
 class TestDistribution:
@@ -51,7 +52,8 @@ class TestJoint:
 
 class TestChannel:
     def test_from_json_roundtrip(self, bsc):
-        again = Channel.from_json(bsc.to_json())
+        obj = {"input_size": 2, "output_size": 2, "matrix": bsc.matrix.tolist()}
+        again = Channel.from_json(obj)
         assert np.array_equal(again.matrix, bsc.matrix)
 
     def test_from_json_reports_bad_row(self):
@@ -121,7 +123,7 @@ class TestMutualInformation:
         rng = np.random.default_rng(11)
         stack = rng.dirichlet(np.ones(6), size=20).reshape(20, 2, 3)
         stack[0] = [[0.5, 0.0, 0.0], [0.0, 0.25, 0.25]]
-        want = [mutual_information_array(j) for j in stack]
+        want = [_mutual_information(j.tolist()) for j in stack]
         assert np.allclose(mutual_information_stack(stack), want, rtol=0, atol=1e-14)
 
 

@@ -182,9 +182,10 @@ class TestExactError:
         assert abs(err - 7.0 / 8.0) <= 1e-13
 
     def test_budget_rejected(self, bsc, unif2):
-        code = sample_code(unif2, 6, 2, np.random.default_rng(6))
+        # 2^26 outputs exceed the 2^24 enumeration budget
+        code = sample_code(unif2, 26, 2, np.random.default_rng(6))
         with pytest.raises(DistributionError, match="monte_carlo_error"):
-            exact_error_probability(code, 0, bsc, matched_metric(bsc), budget=32)
+            exact_error_probability(code, 0, bsc, matched_metric(bsc))
 
     def test_message_index_checked(self, bsc, unif2):
         code = sample_code(unif2, 4, 2, np.random.default_rng(7))
@@ -226,7 +227,7 @@ class TestExactError:
             exact_error_probability(code, msgs, bsc, matched_metric(bsc))
 
     def test_budget_rejected_before_enumeration(self, bsc, unif2, monkeypatch):
-        code = sample_code(unif2, 6, 2, np.random.default_rng(6))
+        code = sample_code(unif2, 26, 2, np.random.default_rng(6))
 
         def no_enumeration(*_):
             raise AssertionError("outputs enumerated")
@@ -234,7 +235,7 @@ class TestExactError:
         monkeypatch.setattr("gldx.simulator.digits", no_enumeration)
         for msgs in (0, [0, 1], []):
             with pytest.raises(DistributionError, match="monte_carlo_error"):
-                exact_error_probability(code, msgs, bsc, matched_metric(bsc), budget=32)
+                exact_error_probability(code, msgs, bsc, matched_metric(bsc))
 
     def test_empty_sequence(self, bsc, unif2):
         code = sample_code(unif2, 4, 2, np.random.default_rng(7))
@@ -295,13 +296,12 @@ class TestGoodCode:
         assert a == b
 
     def test_sampled_fallback(self, unif2):
-        code = sample_code(unif2, 6, 4, np.random.default_rng(73))
+        # 2^26 outputs exceed the enumeration budget, so 20000 are sampled
+        code = sample_code(unif2, 26, 4, np.random.default_rng(73))
         m = constant_metric(2, 2, 0.0)
-        rep = check_good_code(
-            code, 0.05, m, rate=0.2, budget=16, samples=50, rng=np.random.default_rng(1)
-        )
+        rep = check_good_code(code, 0.05, m, rate=0.2, rng=np.random.default_rng(1))
         assert not rep.exhaustive
-        assert rep.n_checked == 50
+        assert rep.n_checked == 20000
 
     def test_report_json(self, unif2):
         code = sample_code(unif2, 6, 4, np.random.default_rng(74))
