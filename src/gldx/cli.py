@@ -39,6 +39,7 @@ from .simulator import (
 from . import verify as verify_mod
 
 _MARKOV_RHOS = (1.0, 2.0, 5.0)
+_MAX_RATES = 10_000  # rates one sweep may run; each is a full exponent
 # Every config field each command reads, as field: (type, default).  The
 # type is the Python type the JSON value is read as (float: any number,
 # int: an integral number, a tuple: either type) or, for a nested block,
@@ -205,14 +206,12 @@ def _sweep_rates(cfg: dict) -> list[float]:
     if stop < start or step <= 0:
         raise ConfigError("rate_range needs start <= stop and step > 0")
     rates = []
-    k = 0
-    while True:
+    for k in range(_MAX_RATES + 1):
         r = start + k * step
         if r > stop + 1e-12:
-            break
+            return rates
         rates.append(min(r, stop))
-        k += 1
-    return rates
+    raise ConfigError(f"rate_range gives more than {_MAX_RATES} rates")
 
 
 def cmd_sweep(cfg: dict) -> int:

@@ -227,9 +227,9 @@ class CompetitorScoreEvaluator:
     def value_batch(self, rows: np.ndarray) -> np.ndarray:
         """Values for a stack of output compositions; not memoized.
 
-        Rows equal to 12 digits are evaluated once.  The distinct rows
-        are processed in fixed-height sub-batches so the result for a
-        given row depends only on that row.
+        Rows equal to 12 digits are evaluated once, at the first of them
+        in ``rows``.  The distinct rows are processed in fixed-height
+        sub-batches, so a row's result depends only on that first row.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if self._base is not None:
@@ -346,6 +346,18 @@ class ConfusionExponentSolver:
     exhaustive grid scan over per-cell kernels (chunked, deterministic)
     is followed by coordinate-descent refinement of the best point:
     ``_descend`` moves mass between two outputs of one kernel at a time.
+
+    The scan asks for the competitor floor (and, for a non-affine
+    metric, the two information terms) only on stacks that can still
+    win.  A stack's total is ``dsum + bracket`` with ``bracket >= 0``,
+    and for an affine metric ``bracket >= [g1 - g2]_+`` because the
+    floor only raises ``max(g1, floor)``; so ``lb = dsum + [g1 - g2]_+``
+    (``dsum`` alone for a non-affine metric, +inf where ``g2 = -inf``)
+    is a lower bound that needs no floor.  Rounding is monotone, so
+    ``lb <= total`` holds in floating point too.  Each chunk evaluates
+    its least-``lb`` stack exactly and keeps the stacks with ``lb`` at
+    most that total: the minimum and every stack tying it survive, so
+    the value and the first argmin equal those of the full scan.
 
     ``solve`` describes the positive cells once per call as tuples
     ``(x, xp, weight, channel row x as a list, metric row x, -inf
@@ -513,45 +525,82 @@ class ConfusionExponentSolver:
             )
             den = int(self.grid.resolution) * k_in
 
+        def column(table: np.ndarray, r: int, start: int, stop: int) -> np.ndarray:
+            # table[digit r of i] for i in [start, stop), without the digits:
+            # digit r is (i // run) % n_opt, so it cycles through the table
+            # in runs of n_opt**(s-1-r) consecutive indices.
+            run = n_opt ** (s - 1 - r)
+            first = start // run
+            n_runs = (stop - 1) // run + 1 - first
+            vals = np.tile(np.roll(table, -(first % n_opt)), -(-n_runs // n_opt))[:n_runs]
+            return np.repeat(vals, run)[start - first * run : stop - first * run]
+
         def chunk(start: int, stop: int) -> tuple[float, int]:
             c = stop - start
-            digs = digits(np.arange(start, stop), n_opt, s).T
             dsum = np.zeros(c)
             for r in range(s):
-                dsum += dvec[r][digs[r]]
-            if counts is not None:
-                qy_int = np.zeros((c, self.l), dtype=np.int64)
-                for r in range(s):
-                    qy_int += cvec[r] * opt_counts[digs[r]]
-                floor = self.score_eval.value_grid(qy_int, den)
-            else:
-                qy = np.zeros((c, self.l))
-                for r in range(s):
-                    qy += wopts[r][digs[r]]
-                floor = self.score_eval.value_batch(qy)
+                dsum += column(dvec[r], r, start, stop)
             if affine:
                 g1 = np.zeros(c)
                 g2 = np.zeros(c)
                 for r in range(s):
-                    g1 += gx[r][digs[r]]
-                    g2 += gxp[r][digs[r]]
+                    g1 += column(gx[r], r, start, stop)
+                    g2 += column(gxp[r], r, start, stop)
+                # [g1 - g2]_+ <= [max(g1, floor) - g2]_+: a floor-free bound.
+                with np.errstate(invalid="ignore"):
+                    lb = dsum + np.where(np.isneginf(g2), math.inf, np.maximum(g1 - g2, 0.0))
             else:
-                jxy = np.zeros((c, self.kx, self.l))
-                jxpy = np.zeros((c, self.kx, self.l))
+                lb = dsum  # the bracket is >= 0
+            if counts is None:
+                # value_batch evaluates each 12-digit key at the first row
+                # that carries it, so a row's floor can depend on the rows
+                # before it: ask for the whole chunk, as an unpruned scan.
+                digs = digits(np.arange(start, stop), n_opt, s).T
+                qy = np.zeros((c, self.l))
                 for r in range(s):
-                    jxy[:, cells[r][0], :] += wopts[r][digs[r]]
-                    jxpy[:, cells[r][1], :] += wopts[r][digs[r]]
-                g1 = mutual_information_stack(jxy)
-                g2 = mutual_information_stack(jxpy)
-            with np.errstate(invalid="ignore"):
-                bracket = np.where(
-                    np.isneginf(g2),
-                    math.inf,
-                    np.maximum(np.maximum(g1, floor) - g2, 0.0),
-                )
-                total = dsum + bracket
+                    qy += wopts[r][digs[r]]
+                chunk_floor = self.score_eval.value_batch(qy)
+
+            def totals(rows: np.ndarray) -> np.ndarray:
+                # The exact total at some of the chunk's rows, by the
+                # expressions a full-chunk evaluation uses, row by row.
+                b = rows.shape[0]
+                d = digits(start + rows, n_opt, s).T
+                if counts is not None:
+                    qy_int = np.zeros((b, self.l), dtype=np.int64)
+                    for r in range(s):
+                        qy_int += cvec[r] * opt_counts[d[r]]
+                    floor = self.score_eval.value_grid(qy_int, den)
+                else:
+                    floor = chunk_floor[rows]
+                if affine:
+                    h1, h2 = g1[rows], g2[rows]
+                else:
+                    jxy = np.zeros((b, self.kx, self.l))
+                    jxpy = np.zeros((b, self.kx, self.l))
+                    for r in range(s):
+                        jxy[:, cells[r][0], :] += wopts[r][d[r]]
+                        jxpy[:, cells[r][1], :] += wopts[r][d[r]]
+                    h1 = mutual_information_stack(jxy)
+                    h2 = mutual_information_stack(jxpy)
+                with np.errstate(invalid="ignore"):
+                    bracket = np.where(
+                        np.isneginf(h2),
+                        math.inf,
+                        np.maximum(np.maximum(h1, floor) - h2, 0.0),
+                    )
+                    return dsum[rows] + bracket
+
+            # Prune, exactly: lb <= total holds after rounding (rounding is
+            # monotone), so every row reaching or tying the chunk's minimum
+            # has lb <= minimum <= incumbent and is kept, and the value and
+            # first argmin are those of the full chunk.  The incumbent is
+            # the chunk's own, so no worker count can change it.
+            incumbent = float(totals(np.array([int(np.argmin(lb))]))[0])
+            keep = np.flatnonzero(lb <= incumbent)
+            total = totals(keep)
             j = int(np.argmin(total))
-            return float(total[j]), start + j
+            return float(total[j]), start + int(keep[j])
 
         results = ordered_chunk_map(chunk, n_combo, _CHUNK_SIZE, self.grid.workers)
         best_v, best_i = math.inf, -1

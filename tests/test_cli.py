@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,11 @@ class TestSweepCommand:
         out = capsys.readouterr()
         assert "input error" in out.err and "'rate'" in out.err
         assert out.out == ""
+
+
+    def test_sweep_rate_list_unchanged(self):
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "sweep_bsc.json").read_text())
+        assert cli._sweep_rates(cfg) == [0.05, 0.1, 0.15000000000000002, 0.2, 0.25, 0.3, 0.35]
 
 
 class TestSimulateCommand:
@@ -620,6 +626,21 @@ class TestExitCodes:
         )
         assert main(["exponent", "--config", cfg]) == 3
         assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rate_range",
+        [{"start": 0.1, "stop": 1e300, "step": 0.05}, {"start": 0.1, "stop": 0.2, "step": 1e-300}],
+        ids=["stop-1e300", "step-1e-300"],
+    )
+    def test_rejects_rate_range_with_too_many_rates(self, tmp_path, capsys, monkeypatch, rate_range):
+        # Both used to grow the rate list until memory ran out.
+        monkeypatch.setattr(cli, "rate_sweep", lambda *a: pytest.fail("sweep ran"))
+        payload = {"channel": BSC, "metric": {"kind": "matched"}, "rate_range": rate_range, "resolution": 8}
+        cfg = write_config(tmp_path, "huge_range.json", payload)
+        assert main(["sweep", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert "input error" in out.err and "rate_range" in out.err
+        assert out.out == ""
 
 
 class TestVerifyCommand:

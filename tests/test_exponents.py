@@ -36,9 +36,9 @@ from gldx import (
     pairwise_confusion_exponent,
     rate_sweep,
 )
-from gldx.exponents import _descend, _prepare
+from gldx.exponents import _CHUNK_SIZE, _descend, _prepare
 from gldx.measures import mutual_information, mutual_information_stack
-from gldx.optimizer import enumerate_margin_tables, margin_counts
+from gldx.optimizer import digits, enumerate_margin_tables, margin_counts, ordered_chunk_map
 
 
 class TestQueryValidation:
@@ -274,6 +274,153 @@ class TestStackValue:
 
         assert {hexes(k) for k in ev._memo} == {hexes(np.round(q, 12)) for q in rows}
         assert len(ev._memo) == len(rows) - 1
+
+
+def _unpruned_scan(solver, cells, counts, k_in):
+    """The inner scan with every stack's exact total, as it was before pruning.
+
+    A copy of the chunk reduction of ``ConfusionExponentSolver._scan``
+    that evaluates the floor on all stacks.  Returns the value, the
+    picks and how many stacks reach the value.
+    """
+    opt_counts, opts, dopt, gsc = solver._tables(k_in)
+    n_opt = opts.shape[0]
+    s = len(cells)
+    w = np.array([c[2] for c in cells])
+    dvec = [w[r] * dopt[cells[r][0]] for r in range(s)]
+    affine = solver.metric.is_affine
+    if affine:
+        gx = [w[r] * gsc[cells[r][0]] for r in range(s)]
+        gxp = [w[r] * gsc[cells[r][1]] for r in range(s)]
+    wopts = [w[r] * opts for r in range(s)]
+    if counts is not None:
+        cvec = np.array([int(round(counts[c[0], c[1]])) for c in cells], dtype=np.int64)
+        den = int(solver.grid.resolution) * k_in
+
+    def chunk(start, stop):
+        c = stop - start
+        digs = digits(np.arange(start, stop), n_opt, s).T
+        dsum = np.zeros(c)
+        for r in range(s):
+            dsum += dvec[r][digs[r]]
+        if counts is not None:
+            qy_int = np.zeros((c, solver.l), dtype=np.int64)
+            for r in range(s):
+                qy_int += cvec[r] * opt_counts[digs[r]]
+            floor = solver.score_eval.value_grid(qy_int, den)
+        else:
+            qy = np.zeros((c, solver.l))
+            for r in range(s):
+                qy += wopts[r][digs[r]]
+            floor = solver.score_eval.value_batch(qy)
+        if affine:
+            g1 = np.zeros(c)
+            g2 = np.zeros(c)
+            for r in range(s):
+                g1 += gx[r][digs[r]]
+                g2 += gxp[r][digs[r]]
+        else:
+            jxy = np.zeros((c, solver.kx, solver.l))
+            jxpy = np.zeros((c, solver.kx, solver.l))
+            for r in range(s):
+                jxy[:, cells[r][0], :] += wopts[r][digs[r]]
+                jxpy[:, cells[r][1], :] += wopts[r][digs[r]]
+            g1 = mutual_information_stack(jxy)
+            g2 = mutual_information_stack(jxpy)
+        with np.errstate(invalid="ignore"):
+            bracket = np.where(np.isneginf(g2), math.inf, np.maximum(np.maximum(g1, floor) - g2, 0.0))
+            total = dsum + bracket
+        j = int(np.argmin(total))
+        return float(total[j]), start + j, int(np.count_nonzero(total == total[j]))
+
+    results = ordered_chunk_map(chunk, n_opt**s, _CHUNK_SIZE, 1)
+    best_v, best_i = math.inf, -1
+    for v, i, _ in results:
+        if v < best_v:
+            best_v, best_i = v, i
+    ties = sum(n for v, _, n in results if v == best_v)
+    if best_i < 0 or not math.isfinite(best_v):
+        return math.inf, np.zeros(s, dtype=np.int64), ties
+    return best_v, digits(best_i, n_opt, s), ties
+
+
+def _scan_cases(channel, metric, rate, k):
+    """(solver, cells, counts, k_in) for every coupling ``_prepare`` scans."""
+    ev = CompetitorScoreEvaluator(metric, rate, channel.output_size, k)
+    solver = ConfusionExponentSolver(channel, metric, rate, GridSpec(k), ev)
+    margins = margin_counts(Distribution.uniform(channel.input_size), k)
+    for t in enumerate_margin_tables(margins, margins):
+        cells = solver._cells(t / k)
+        yield solver, cells, t, solver.inner_resolution(len(cells))
+
+
+_SCAN_METRICS = {
+    "matched1": lambda ch: matched_metric(ch),
+    "matched2": lambda ch: matched_metric(ch, beta=2.0),
+    "mismatched": lambda ch: mismatched_metric(
+        [[0.85, 0.15], [0.15, 0.85]] if ch.output_size == 2 else [[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]]
+    ),
+    "emi": lambda ch: emi_metric(ch.input_size, ch.output_size),
+}
+
+
+class TestPrunedScan:
+    @pytest.mark.parametrize("floor_path", ["grid", "batch"])
+    @pytest.mark.parametrize("rate", [0.1, 0.3])
+    @pytest.mark.parametrize("metric", sorted(_SCAN_METRICS))
+    @pytest.mark.parametrize("matrix, k", [(_BSC, 16), (_WIDE, 8)], ids=["bsc-k16", "wide-k8"])
+    def test_matches_unpruned_scan(self, matrix, k, metric, rate, floor_path):
+        # With counts the floor goes through value_grid; without them
+        # (as in pairwise_confusion_exponent) through value_batch.
+        ch = Channel.from_matrix(matrix)
+        for solver, cells, t, k_in in _scan_cases(ch, _SCAN_METRICS[metric](ch), rate, k):
+            counts = t if floor_path == "grid" else None
+            want_v, want_picks, _ = _unpruned_scan(solver, cells, counts, k_in)
+            got_v, got_picks = solver._scan(cells, counts, k_in)
+            assert got_v == want_v
+            assert got_picks.tolist() == want_picks.tolist()
+
+    @pytest.mark.parametrize("floor_path", ["grid", "batch"])
+    def test_tied_minimum_returns_first_stack(self, floor_path):
+        # Two equal channel rows; on the uniform coupling at k=4 two
+        # stacks share the minimum total.
+        ch = Channel.from_matrix([[0.7, 0.3], [0.7, 0.3]])
+        m = mismatched_metric([[0.85, 0.15], [0.15, 0.85]])
+        solver, cells, t, k_in = next(
+            c for c in _scan_cases(ch, m, 0.1, 4) if c[2].tolist() == [[1, 1], [1, 1]]
+        )
+        counts = t if floor_path == "grid" else None
+        want_v, want_picks, ties = _unpruned_scan(solver, cells, counts, k_in)
+        assert ties == 2 and math.isfinite(want_v)
+        got_v, got_picks = solver._scan(cells, counts, k_in)
+        assert got_v == want_v
+        assert got_picks.tolist() == want_picks.tolist()
+
+    @pytest.mark.parametrize("metric", ["matched1", "emi"])
+    def test_picks_do_not_depend_on_workers(self, wide, unif2, metric):
+        query = ExponentQuery(0.1, unif2, wide, _SCAN_METRICS[metric](wide))
+        one, four = (_prepare(query, GridSpec(8, workers=w)) for w in (1, 4))
+        assert one.confusion.tolist() == four.confusion.tolist()
+        for a, b in zip(one.kernels, four.kernels):
+            assert a.keys() == b.keys()
+            assert all(a[key].tolist() == b[key].tolist() for key in a)
+
+    def test_floor_asked_on_few_stacks(self, wide, unif2, monkeypatch):
+        rows = []
+        orig = CompetitorScoreEvaluator.value_grid
+
+        def counted(self, counts, den):
+            rows.append(len(counts))
+            return orig(self, counts, den)
+
+        monkeypatch.setattr(CompetitorScoreEvaluator, "value_grid", counted)
+        pipe = _prepare(ExponentQuery(0.1, unif2, wide, matched_metric(wide)), GridSpec(8))
+        stacks = 0
+        for p in pipe.couplings:
+            s = int(np.count_nonzero(p))
+            stacks += len(compositions(pipe.solver.inner_resolution(s), wide.output_size)) ** s
+        assert stacks == 5_042_898
+        assert 5 * sum(rows) < stacks
 
 
 class TestPairwiseConfusion:
