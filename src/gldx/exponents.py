@@ -58,7 +58,6 @@ from .optimizer import (
     ordered_chunk_map,
 )
 
-_ALPHA_BATCH = 64  # fixed sub-batch height so BLAS shapes never vary
 _FLOOR_BUDGET = 300_000  # grid kernels one competitor-floor scan may enumerate
 _INNER_BUDGET = 2_000_000  # kernel stacks one inner scan may enumerate
 _CHUNK_SIZE = 1 << 18  # kernel stacks per scan chunk; fixed so workers cannot matter
@@ -150,17 +149,19 @@ class CompetitorScoreEvaluator:
     constant metric gives value + rate (the independent kernel is
     optimal), and the empirical-mutual-information metric gives rate
     (score cancels the information term on the feasible set); all
-    three entry points then return that one base value:
+    three entry points then return that one base value.
 
-    * ``value(q)``: one composition, memoized on q rounded to 12 digits;
-    * ``value_batch(rows)``: rows deduplicated on the same 12-digit key,
-      scanned in fixed 64-row sub-batches, not memoized;
+    Otherwise one kernel, the one-row ``_scan``, computes every value,
+    so a composition reads the same bits through each entry point and
+    in any batch; the entry points differ only in their memos:
+
+    * ``value(q)``: one composition, memoized on q rounded to 12 digits
+      (a later q with the same key gets the first one's value);
+    * ``value_batch(rows)``: one scan per bitwise-distinct row, not
+      memoized;
     * ``value_grid(counts, den)``: integer compositions ``counts / den``,
       memoized per denominator on an exact integer key; misses go
       through ``value_batch``.
-
-    ``value`` keeps its own one-row scan because a padded sub-batch can
-    differ from it in the last bit, which would move refined exponents.
     """
 
     def __init__(self, metric: Metric, rate: float, y_size: int, resolution: int):
@@ -227,28 +228,15 @@ class CompetitorScoreEvaluator:
     def value_batch(self, rows: np.ndarray) -> np.ndarray:
         """Values for a stack of output compositions; not memoized.
 
-        Rows equal to 12 digits are evaluated once, at the first of them
-        in ``rows``.  The distinct rows are processed in fixed-height
-        sub-batches, so a row's result depends only on that first row.
+        Each bitwise-distinct row is scanned once, alone, so a row's
+        value does not depend on the other rows in ``rows``.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if self._base is not None:
             return np.full(rows.shape[0], self._base)
-        _, first, inverse = np.unique(
-            np.round(rows, 12), axis=0, return_index=True, return_inverse=True
-        )
-        rows = rows[first]
-        n = rows.shape[0]
-        out = np.empty(n)
-        for s in range(0, n, _ALPHA_BATCH):
-            block = rows[s : s + _ALPHA_BATCH]
-            if block.shape[0] < _ALPHA_BATCH:
-                pad = np.repeat(block[-1:], _ALPHA_BATCH - block.shape[0], axis=0)
-                padded = np.vstack([block, pad])
-                out[s : s + block.shape[0]] = self._scan(padded)[: block.shape[0]]
-            else:
-                out[s : s + _ALPHA_BATCH] = self._scan(block)
-        return out[inverse]
+        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+        out = np.array([self._scan(q[None, :])[0] for q in distinct])
+        return out[inverse.reshape(-1)]
 
     def value_grid(self, counts: np.ndarray, den: int) -> np.ndarray:
         """Values at the integer compositions ``counts / den``, memoized.
@@ -465,7 +453,9 @@ class ConfusionExponentSolver:
         ``counts`` (integer table summing to the outer resolution) makes
         each scanned output composition an integer vector over resolution
         * inner resolution, floored through ``value_grid``; without it the
-        floor comes from ``value_batch`` on float compositions.
+        floor comes from ``value_batch`` on float compositions.  Either way
+        the floor is the evaluator's one-row scan, asked only for the
+        stacks the pruning keeps.
         ``skip_grid`` starts refinement from ``warm`` kernels
         (missing cells start at the channel row) without scanning.  The
         outer polish uses it for every solve: first from the kernels the
@@ -551,15 +541,6 @@ class ConfusionExponentSolver:
                     lb = dsum + np.where(np.isneginf(g2), math.inf, np.maximum(g1 - g2, 0.0))
             else:
                 lb = dsum  # the bracket is >= 0
-            if counts is None:
-                # value_batch evaluates each 12-digit key at the first row
-                # that carries it, so a row's floor can depend on the rows
-                # before it: ask for the whole chunk, as an unpruned scan.
-                digs = digits(np.arange(start, stop), n_opt, s).T
-                qy = np.zeros((c, self.l))
-                for r in range(s):
-                    qy += wopts[r][digs[r]]
-                chunk_floor = self.score_eval.value_batch(qy)
 
             def totals(rows: np.ndarray) -> np.ndarray:
                 # The exact total at some of the chunk's rows, by the
@@ -572,7 +553,10 @@ class ConfusionExponentSolver:
                         qy_int += cvec[r] * opt_counts[d[r]]
                     floor = self.score_eval.value_grid(qy_int, den)
                 else:
-                    floor = chunk_floor[rows]
+                    qy = np.zeros((b, self.l))
+                    for r in range(s):
+                        qy += wopts[r][d[r]]
+                    floor = self.score_eval.value_batch(qy)
                 if affine:
                     h1, h2 = g1[rows], g2[rows]
                 else:

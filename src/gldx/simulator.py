@@ -183,6 +183,8 @@ def gld_posterior(codebook: Codebook, y, metric: Metric) -> Distribution:
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (codebook.blocklength,):
         raise DistributionError("output length does not match the codebook blocklength")
+    if np.any((y < 0) | (y >= metric.y_size)):
+        raise DistributionError(f"output symbol outside [0, {metric.y_size})")
     scores = _block_scores(codebook.words, y[None], metric)[0]
     if not np.any(np.isfinite(scores)):
         log.debug("all-forbidden output %s: posterior set to uniform", y)
@@ -399,12 +401,17 @@ def kept_indices(error_probs) -> np.ndarray:
     return np.sort(order[:keep])
 
 
-def half_expurgate(codebook: Codebook, error_probs) -> Codebook:
-    """Drop the worse half of the code, keeping ceil(M/2) messages."""
+def _per_message(codebook: Codebook, error_probs) -> np.ndarray:
+    """``error_probs`` as an array, checked to hold one entry per codeword."""
     probs = np.asarray(error_probs, dtype=np.float64)
     if probs.size != codebook.size:
         raise DistributionError("error_probs length does not match the code size")
-    idx = kept_indices(probs)
+    return probs
+
+
+def half_expurgate(codebook: Codebook, error_probs) -> Codebook:
+    """Drop the worse half of the code, keeping ceil(M/2) messages."""
+    idx = kept_indices(_per_message(codebook, error_probs))
     return Codebook(codebook.words[idx], codebook.composition)
 
 
@@ -425,7 +432,7 @@ def markov_bound_check(
         raise DistributionError(f"rho must be >= 1, got {rho}")
     if error_probs is None:
         error_probs = exact_error_probability(codebook, range(codebook.size), channel, metric)
-    probs = np.asarray(error_probs, dtype=np.float64)
+    probs = _per_message(codebook, error_probs)
     m = probs.size
     lhs = float((2.0 / m) * np.sum(probs ** (1.0 / rho)))
     kept = kept_indices(probs)

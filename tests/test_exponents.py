@@ -73,25 +73,34 @@ class TestScoreFloor:
         vals = [competitor_score_exponent(r, qy, bsc, m, 12) for r in (0.05, 0.2, 0.5)]
         assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
 
-    def test_batch_matches_scalar(self, bsc):
-        # two separate code paths (padded sub-batches vs one row), so
-        # agreement is to roundoff, not to the bit
-        ev = CompetitorScoreEvaluator(matched_metric(bsc), 0.3, 2, 12)
-        rng = np.random.default_rng(31)
-        rows = rng.dirichlet(np.ones(2), size=9)
-        batch = ev.value_batch(rows)
-        singles = np.array([ev.value(r) for r in rows])
-        assert np.max(np.abs(batch - singles)) <= 1e-12
+    def test_batch_matches_scalar(self, bsc, wide):
+        # one kernel behind all three entry points: a composition reads
+        # the same bits whichever entry point asks for it
+        for ch, den in ((bsc, 40), (wide, 24)):
+            ev = CompetitorScoreEvaluator(matched_metric(ch), 0.3, ch.output_size, 12)
+            counts = compositions(den, ch.output_size)
+            rng = np.random.default_rng(31)
+            rows = np.vstack([rng.dirichlet(np.ones(ch.output_size), size=40), counts / den])
+            singles = np.array([ev.value(r) for r in rows])
+            assert np.array_equal(ev.value_batch(rows), singles)
+            assert np.array_equal(ev.value_grid(counts, den), singles[40:])
 
     def test_batch_height_invisible(self, bsc):
-        # fixed sub-batch processing: a row's value cannot depend on how
-        # many rows ride along with it
+        # a row's value cannot depend on how many rows ride along with it
         ev = CompetitorScoreEvaluator(matched_metric(bsc), 0.3, 2, 12)
         rng = np.random.default_rng(33)
         rows = rng.dirichlet(np.ones(2), size=100)
         full = ev.value_batch(rows)
         head = ev.value_batch(rows[:7])
         assert np.array_equal(full[:7], head)
+
+    def test_batch_row_ignores_rows_equal_to_12_digits(self, bsc):
+        # a and b round to the same 12 digits but differ in their bits;
+        # b is scanned as itself, not as the a that precedes it
+        a, b = np.array([0.3, 0.7]), np.array([0.3 + 3e-13, 0.7 - 3e-13])
+        ev = CompetitorScoreEvaluator(matched_metric(bsc), 0.3, 2, 12)
+        assert np.array_equal(np.round(a, 12), np.round(b, 12)) and not np.array_equal(a, b)
+        assert ev.value_batch(np.stack([a, b]))[1] == ev.value_batch(b[None])[0] == ev.value(b)
 
     def test_size_mismatch(self, bsc):
         with pytest.raises(DistributionError):

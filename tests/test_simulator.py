@@ -116,6 +116,16 @@ class TestPosterior:
         with pytest.raises(DistributionError):
             gld_posterior(code, [0, 1, 1], matched_metric(bsc))
 
+    @pytest.mark.parametrize("y", [[-1, 0, 2, 0], [3, 0, 2, 0]], ids=["negative", "past-l"])
+    def test_output_symbol_outside_alphabet(self, wide, y):
+        # -1 would index the last column (symbol l-1); l would not index at all
+        code = Codebook([[0, 1, 0, 1], [1, 1, 0, 0]], Distribution.uniform(2))
+        m = matched_metric(wide)
+        with pytest.raises(DistributionError, match="outside"):
+            gld_posterior(code, y, m)
+        with pytest.raises(DistributionError, match="outside"):
+            gld_decode(code, y, m, np.random.default_rng(1))
+
     def test_decode_seeded(self, bsc):
         code = Codebook([[0, 1, 0, 1], [1, 0, 0, 1]], Distribution.uniform(2))
         m = matched_metric(bsc)
@@ -339,6 +349,11 @@ class TestExpurgation:
         code = sample_code(unif2, 6, 4, np.random.default_rng(22))
         with pytest.raises(DistributionError):
             half_expurgate(code, [0.1, 0.2])
+
+    def test_markov_bound_length_check(self, bsc, unif2):
+        code = sample_code(unif2, 6, 4, np.random.default_rng(22))
+        with pytest.raises(DistributionError, match="length"):
+            markov_bound_check(code, bsc, matched_metric(bsc), 2.0, [0.3, 0.1])
 
     def test_markov_bound_holds_seeded(self, bsc, unif2):
         rng = np.random.default_rng(61)
